@@ -1,11 +1,7 @@
-// Triangular-solve throughput: seed column-at-a-time scalar sweeps vs the
-// multi-RHS panel path vs the DAG-scheduled parallel executor
-// (factor/parallel_solve.hpp), on the regular CUBE and irregular LP
-// families, across RHS counts 1/4/16/64 and a thread sweep.
+// Triangular-solve throughput: the multi-RHS panel path vs the DAG-scheduled
+// parallel executor (factor/parallel_solve.hpp), on the regular CUBE and
+// irregular LP families, across RHS counts 1/4/16/64 and a thread sweep.
 //
-// "seed"     = one block_solve per RHS column (the pre-panel behavior:
-//              scalar forward/backward sweeps, factor walked once per
-//              column).
 // "panel"    = block_solve_multi: the factor walked once per panel of RHS
 //              columns, TRSM/GEMM panel kernels.
 // "parallel" = block_solve_multi_parallel at each thread count, reusing one
@@ -16,14 +12,16 @@
 // Writes BENCH_solve.json to the repo root (override with --json-out=PATH).
 // SPC_SMALL=1 shrinks the problems for a sanity pass.
 //
+// The seed column (one scalar block_solve per RHS column) is no longer
+// timed; its numbers are the seed_s rows of BENCH_solve.json at commit
+// 198ff41 (kSeedRecord below).
+//
 // Note on this host: the container is typically pinned to one core, so the
 // thread sweep measures scheduling overhead, not true parallel speedup; the
-// panel-vs-seed speedup and the 1-thread parallel-vs-panel ratio are the
-// meaningful single-core numbers, and the host's core count is recorded in
-// the JSON.
+// 1-thread parallel-vs-panel ratio is the meaningful single-core number, and
+// the host's core count is recorded in the JSON.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +31,7 @@
 
 #include "bench_common.hpp"
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/block_solve.hpp"
+#include "factor/block_solve.hpp"  // block_solve_multi
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
 #include "gen/grid_gen.hpp"
@@ -47,6 +45,10 @@
 namespace {
 
 using namespace spc;
+
+constexpr const char* kSeedRecord =
+    "seed_s rows of BENCH_solve.json at commit 198ff41 (block_solve per RHS "
+    "column: scalar sweeps, factor walked once per column; 1-core host)";
 
 template <typename F>
 double median_seconds(F&& fn, int reps) {
@@ -92,7 +94,6 @@ struct ThreadRun {
 
 struct RhsResult {
   idx nrhs;
-  double seed_s;     // per-column scalar sweeps
   double panel_s;    // serial panel path
   double residual;   // of the panel solve
   std::vector<ThreadRun> runs;
@@ -139,17 +140,6 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
     }
 
     DenseMatrix x = b;
-    rr.seed_s = median_seconds(
-        [&] {
-          for (idx c = 0; c < nrhs; ++c) {
-            std::vector<double> col(static_cast<std::size_t>(n));
-            std::copy(b.col(c), b.col(c) + n, col.begin());
-            col = block_solve(f, col);
-            std::copy(col.begin(), col.end(), x.col(c));
-          }
-        },
-        reps);
-
     // Panel and 1-thread parallel execute the identical kernel sequence, so
     // their ratio is the executor's pure overhead. Interleave the timed reps
     // so host drift (this container shares cores with other jobs) hits both
@@ -185,9 +175,8 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
     block_solve_multi(f, x);
     const DenseMatrix x_panel = x;
 
-    std::printf("  nrhs=%-3lld seed %.4fs  panel %.4fs  speedup %.2fx\n",
-                static_cast<long long>(nrhs), rr.seed_s, rr.panel_s,
-                rr.seed_s / rr.panel_s);
+    std::printf("  nrhs=%-3lld panel %.4fs\n", static_cast<long long>(nrhs),
+                rr.panel_s);
 
     for (int threads : threads_list) {
       ThreadRun run{};
@@ -237,9 +226,7 @@ void write_json(const std::string& path,
   std::fprintf(jf, "{\n  \"bench\": \"solve\",\n");
   std::fprintf(jf, "  \"host_hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(jf,
-               "  \"seed_impl\": \"block_solve per RHS column (scalar "
-               "sweeps, factor walked once per column)\",\n");
+  std::fprintf(jf, "  \"seed_record\": \"%s\",\n", kSeedRecord);
   std::fprintf(jf,
                "  \"panel_impl\": \"block_solve_multi (TRSM/GEMM panel "
                "kernels, factor walked once per panel)\",\n");
@@ -247,8 +234,6 @@ void write_json(const std::string& path,
                "  \"parallel_impl\": \"DAG-scheduled executor on "
                "work-stealing deques, per-worker accumulators\",\n");
   std::fprintf(jf, "  \"matrices\": [\n");
-  double log_sum = 0;
-  int log_count = 0;
   double ratio_1t_worst = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const MatrixResult& m = results[i];
@@ -259,13 +244,10 @@ void write_json(const std::string& path,
                  static_cast<long long>(m.flops));
     for (std::size_t r = 0; r < m.rhs.size(); ++r) {
       const RhsResult& rr = m.rhs[r];
-      const double speedup = rr.panel_s > 0 ? rr.seed_s / rr.panel_s : 0.0;
       std::fprintf(jf,
-                   "       {\"nrhs\": %lld, \"seed_s\": %.5f, \"panel_s\": "
-                   "%.5f, \"speedup_panel_vs_seed\": %.3f, \"residual\": "
+                   "       {\"nrhs\": %lld, \"panel_s\": %.5f, \"residual\": "
                    "%.2e,\n        \"runs\": [\n",
-                   static_cast<long long>(rr.nrhs), rr.seed_s, rr.panel_s,
-                   speedup, rr.residual);
+                   static_cast<long long>(rr.nrhs), rr.panel_s, rr.residual);
       for (std::size_t t = 0; t < rr.runs.size(); ++t) {
         const ThreadRun& run = rr.runs[t];
         std::fprintf(
@@ -283,23 +265,15 @@ void write_json(const std::string& path,
         }
       }
       std::fprintf(jf, "        ]}%s\n", r + 1 < m.rhs.size() ? "," : "");
-      if (rr.nrhs == 16 && speedup > 0) {
-        log_sum += std::log(speedup);
-        ++log_count;
-      }
     }
     std::fprintf(jf, "     ]}%s\n", i + 1 < results.size() ? "," : "");
   }
-  const double geomean = log_count ? std::exp(log_sum / log_count) : 0.0;
   std::fprintf(jf,
-               "  ],\n  \"speedup_nrhs16_geomean\": %.3f,\n"
-               "  \"parallel_1t_vs_panel_worst_ratio\": %.3f\n}\n",
-               geomean, ratio_1t_worst);
+               "  ],\n  \"parallel_1t_vs_panel_worst_ratio\": %.3f\n}\n",
+               ratio_1t_worst);
   std::fclose(jf);
-  std::printf(
-      "wrote %s (panel speedup geomean at nrhs=16: %.2fx; 1-thread parallel "
-      "overhead vs panel: %.1f%%)\n",
-      path.c_str(), geomean, 100.0 * (ratio_1t_worst - 1.0));
+  std::printf("wrote %s (1-thread parallel overhead vs panel: %.1f%%)\n",
+              path.c_str(), 100.0 * (ratio_1t_worst - 1.0));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "factor/block_solve.hpp"
 #include "factor/fp32_factor.hpp"
 #include "factor/parallel_factor.hpp"
 #include "graph/permutation.hpp"
@@ -307,30 +306,6 @@ const BlockFactor& SparseCholesky::factor() const {
   return *factor_;
 }
 
-std::vector<double> SparseCholesky::solve(const std::vector<double>& b) const {
-  SPC_CHECK(factor_.has_value(), "solve(): call factorize() first");
-  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
-            "solve(): right-hand side size mismatch");
-  // Permute b, solve, permute back: perm_[k] = original index of position k.
-  std::vector<double> pb(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    pb[k] = b[static_cast<std::size_t>(perm_[k])];
-  }
-  std::vector<double> px = block_solve(*factor_, pb);
-  // A perturbed factor is the exact factor of A + E with ||E|| on the order
-  // of the pivot threshold; one refinement step against the *unperturbed* A
-  // recovers working accuracy for the typical tiny-pivot case. An fp32
-  // factor gets two sweeps (see auto_refine_steps).
-  for (int it = auto_refine_steps(info_); it > 0; --it) {
-    refine_once(a_perm_, *factor_, pb, px);
-  }
-  std::vector<double> x(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    x[static_cast<std::size_t>(perm_[k])] = px[k];
-  }
-  return x;
-}
-
 SolveWorkspace& SparseCholesky::solve_workspace() const {
   // The workspace pins the address of bs_; rebuild if this object was copied
   // or moved since it was created (or it shares a copied-from peer's).
@@ -340,34 +315,61 @@ SolveWorkspace& SparseCholesky::solve_workspace() const {
   return *sws_;
 }
 
-std::vector<double> SparseCholesky::solve(const std::vector<double>& b,
-                                          const SolveOptions& opt) const {
-  SPC_CHECK(factor_.has_value(), "solve(): call factorize() first");
-  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
-            "solve(): right-hand side size mismatch");
-  SolveWorkspace& ws = solve_workspace();
+SolveOptions SparseCholesky::governed(const SolveOptions& opt,
+                                      governor::Deadline& dl) const {
   // Governance overlay: the solver's budget and a freshly armed per-request
   // deadline, unless the caller supplied their own.
   SolveOptions gopt = opt;
   if (gopt.budget == nullptr) gopt.budget = budget_;
-  const governor::Deadline dl =
-      gopt.deadline == nullptr ? arm_deadline(opt_.deadline_s)
-                               : governor::Deadline();
-  if (dl.armed()) gopt.deadline = &dl;
+  if (gopt.deadline == nullptr) {
+    dl = arm_deadline(opt_.deadline_s);
+    if (dl.armed()) gopt.deadline = &dl;
+  }
+  return gopt;
+}
+
+std::vector<double> SparseCholesky::solve_vector(const std::vector<double>& b,
+                                                 const SolveOptions& opt,
+                                                 int refine_steps,
+                                                 double tol) const {
+  SPC_CHECK(factor_.has_value(), "solve(): call factorize() first");
+  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
+            "solve(): right-hand side size mismatch");
+  SolveWorkspace& ws = solve_workspace();
+  governor::Deadline dl;
+  const SolveOptions gopt = governed(opt, dl);
+  // Permute b, solve, permute back: perm_[k] = original index of position k.
   std::vector<double> pb(b.size());
   for (std::size_t k = 0; k < b.size(); ++k) {
     pb[k] = b[static_cast<std::size_t>(perm_[k])];
   }
   std::vector<double> px = pb;
   block_solve_panel(*factor_, px.data(), 1, gopt, &ws);
-  for (int it = auto_refine_steps(info_); it > 0; --it) {
-    refine_once(a_perm_, *factor_, pb, px, gopt, &ws);
+  for (int it = 0; it < refine_steps; ++it) {
+    if (refine_once(a_perm_, *factor_, pb, px, gopt, &ws) <= tol) break;
   }
   std::vector<double> x(b.size());
   for (std::size_t k = 0; k < b.size(); ++k) {
     x[static_cast<std::size_t>(perm_[k])] = px[k];
   }
   return x;
+}
+
+std::vector<double> SparseCholesky::solve(const std::vector<double>& b,
+                                          const SolveOptions& opt) const {
+  // A perturbed factor is the exact factor of A + E with ||E|| on the order
+  // of the pivot threshold; one refinement step against the *unperturbed* A
+  // recovers working accuracy for the typical tiny-pivot case. An fp32
+  // factor gets two sweeps (see auto_refine_steps). tol < 0 never stops
+  // them early.
+  return solve_vector(b, opt, auto_refine_steps(info_), -1.0);
+}
+
+std::vector<double> SparseCholesky::solve_refined(const std::vector<double>& b,
+                                                  const SolveOptions& opt,
+                                                  int max_iters,
+                                                  double tol) const {
+  return solve_vector(b, opt, max_iters, tol);
 }
 
 void SparseCholesky::solve_multi(DenseMatrix& b, const SolveOptions& opt) const {
@@ -377,12 +379,8 @@ void SparseCholesky::solve_multi(DenseMatrix& b, const SolveOptions& opt) const 
   if (b.cols() == 0) return;
   SolveWorkspace& ws = solve_workspace();
   const idx n = b.rows();
-  SolveOptions gopt = opt;
-  if (gopt.budget == nullptr) gopt.budget = budget_;
-  const governor::Deadline dl =
-      gopt.deadline == nullptr ? arm_deadline(opt_.deadline_s)
-                               : governor::Deadline();
-  if (dl.armed()) gopt.deadline = &dl;
+  governor::Deadline dl;
+  const SolveOptions gopt = governed(opt, dl);
   // Stage the permuted panel in the workspace's persistent buffer, solve in
   // place (block_solve_multi_parallel panels it by opt.nrhs_block), then
   // permute back — zero allocation at steady state. Growth is charged
@@ -418,56 +416,6 @@ void SparseCholesky::solve_multi(DenseMatrix& b, const SolveOptions& opt) const 
     const double* src = ws.rhs.data() + static_cast<std::size_t>(c) * n;
     for (idx k = 0; k < n; ++k) dst[perm_[k]] = src[k];
   }
-}
-
-std::vector<double> SparseCholesky::solve_refined(const std::vector<double>& b,
-                                                  const SolveOptions& opt,
-                                                  int max_iters,
-                                                  double tol) const {
-  SPC_CHECK(factor_.has_value(), "solve_refined(): call factorize() first");
-  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
-            "solve_refined(): right-hand side size mismatch");
-  SolveWorkspace& ws = solve_workspace();
-  SolveOptions gopt = opt;
-  if (gopt.budget == nullptr) gopt.budget = budget_;
-  const governor::Deadline dl =
-      gopt.deadline == nullptr ? arm_deadline(opt_.deadline_s)
-                               : governor::Deadline();
-  if (dl.armed()) gopt.deadline = &dl;
-  std::vector<double> pb(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    pb[k] = b[static_cast<std::size_t>(perm_[k])];
-  }
-  std::vector<double> px = pb;
-  block_solve_panel(*factor_, px.data(), 1, gopt, &ws);
-  for (int it = 0; it < max_iters; ++it) {
-    if (refine_once(a_perm_, *factor_, pb, px, gopt, &ws) <= tol) break;
-  }
-  std::vector<double> x(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    x[static_cast<std::size_t>(perm_[k])] = px[k];
-  }
-  return x;
-}
-
-std::vector<double> SparseCholesky::solve_refined(const std::vector<double>& b,
-                                                  int max_iters, double tol) const {
-  SPC_CHECK(factor_.has_value(), "solve_refined(): call factorize() first");
-  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
-            "solve_refined(): right-hand side size mismatch");
-  std::vector<double> pb(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    pb[k] = b[static_cast<std::size_t>(perm_[k])];
-  }
-  std::vector<double> px = block_solve(*factor_, pb);
-  for (int it = 0; it < max_iters; ++it) {
-    if (refine_once(a_perm_, *factor_, pb, px) <= tol) break;
-  }
-  std::vector<double> x(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    x[static_cast<std::size_t>(perm_[k])] = px[k];
-  }
-  return x;
 }
 
 ParallelPlan SparseCholesky::plan_parallel(idx num_procs, RemapHeuristic row_h,

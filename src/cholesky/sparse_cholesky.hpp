@@ -176,16 +176,19 @@ class SparseCholesky {
   // column in the thrown Error's context.
   const FactorizeInfo& factorize_info() const { return info_; }
 
-  // Solves A x = b in the ORIGINAL row/column order of the input matrix.
-  std::vector<double> solve(const std::vector<double>& b) const;
-
-  // Same, routed through the panel/parallel solve path (factor/
-  // parallel_solve.hpp): opt.threads == 1 runs the serial panel sweeps,
-  // >= 2 the DAG executor. The solve workspace (DAG, priorities, scratch)
-  // is built on the first call and cached, so repeated solves allocate
-  // nothing. Perturbed-pivot refinement (see below) rides the same path.
+  // Solves A x = b in the ORIGINAL row/column order of the input matrix,
+  // through the panel/parallel solve path (factor/parallel_solve.hpp):
+  // opt.threads == 1 (the default) runs the serial panel sweeps, >= 2 the
+  // DAG executor. Every call charges memory_budget() and arms
+  // options().deadline_s unless opt supplies its own budget or deadline.
+  // The solve workspace (DAG, priorities, scratch) is built on the first
+  // call and cached, so repeated solves allocate nothing; because every
+  // solve on one facade shares that workspace, concurrent solve /
+  // solve_multi / solve_refined calls on the same object must be
+  // serialized by the caller. A perturbed or fp32 factor is refined
+  // automatically against the unperturbed A (docs/ROBUSTNESS.md).
   std::vector<double> solve(const std::vector<double>& b,
-                            const SolveOptions& opt) const;
+                            const SolveOptions& opt = {}) const;
 
   // Multi-RHS solve in place: B is num_rows() x nrhs, column-major, in the
   // ORIGINAL row order; processed in panels of opt.nrhs_block columns so
@@ -193,15 +196,13 @@ class SparseCholesky {
   void solve_multi(DenseMatrix& b, const SolveOptions& opt = {}) const;
 
   // Solve followed by iterative refinement until the correction's inf-norm
-  // drops below `tol` or `max_iters` steps. For well-conditioned SPD systems
-  // one step already reaches working accuracy; the option matters for the
-  // ill-conditioned stiffness matrices in the BCSSTK class.
-  std::vector<double> solve_refined(const std::vector<double>& b, int max_iters = 3,
-                                    double tol = 1e-14) const;
-
-  // solve_refined with the solves routed through the panel/parallel path.
+  // drops below `tol` or `max_iters` steps, on the same path and workspace
+  // as solve(). For well-conditioned SPD systems one step already reaches
+  // working accuracy; the option matters for the ill-conditioned stiffness
+  // matrices in the BCSSTK class.
   std::vector<double> solve_refined(const std::vector<double>& b,
-                                    const SolveOptions& opt, int max_iters = 3,
+                                    const SolveOptions& opt = {},
+                                    int max_iters = 3,
                                     double tol = 1e-14) const;
 
   // --- Introspection -------------------------------------------------------
@@ -275,6 +276,15 @@ class SparseCholesky {
   // Cached solve workspace, same lifecycle; mutable because solve() is
   // const while the workspace's counters/scratch are per-run state.
   SolveWorkspace& solve_workspace() const;
+  // `opt` with the solver's budget and an armed options().deadline_s filled
+  // in where the caller left them unset; `dl` holds the armed deadline.
+  SolveOptions governed(const SolveOptions& opt, governor::Deadline& dl) const;
+  // Shared body of solve() and solve_refined(): one panel solve, then up to
+  // `refine_steps` refinement steps, stopping once a correction's inf-norm
+  // is <= tol.
+  std::vector<double> solve_vector(const std::vector<double>& b,
+                                   const SolveOptions& opt, int refine_steps,
+                                   double tol) const;
   mutable std::shared_ptr<SolveWorkspace> sws_;
   // Shared with cached workspaces and arena deleters, so accounting outlives
   // the facade if a workspace does.

@@ -136,22 +136,4 @@ void block_solve_multi(const BlockFactor& f, DenseMatrix& b, idx nrhs_block) {
   }
 }
 
-double refine_once(const SymSparse& a, const BlockFactor& f,
-                   const std::vector<double>& b, std::vector<double>& x) {
-  SPC_CHECK(a.num_rows() == f.structure->part.num_cols(),
-            "refine_once: matrix/factor mismatch");
-  SPC_CHECK(b.size() == x.size() && static_cast<idx>(x.size()) == a.num_rows(),
-            "refine_once: vector size mismatch");
-  const std::vector<double> ax = a.multiply(x);
-  std::vector<double> r(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) r[i] = b[i] - ax[i];
-  const std::vector<double> dx = block_solve(f, r);
-  double norm = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] += dx[i];
-    norm = std::max(norm, std::abs(dx[i]));
-  }
-  return norm;
-}
-
 }  // namespace spc

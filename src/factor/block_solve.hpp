@@ -1,5 +1,8 @@
-// Triangular solves with the block factor: L y = b and L^T x = y, giving the
-// solve path of the library's public API (A x = b after factorization).
+// Serial triangular solves with the block factor: L y = b and L^T x = y.
+// The panel sweeps below are the serial path of block_solve_panel
+// (factor/parallel_solve.hpp), which every production solve goes through.
+// The scalar per-column sweeps (block_lower_solve, block_lower_transpose_solve,
+// block_solve) are kept only as the tests' reference implementation.
 #pragma once
 
 #include <vector>
@@ -15,7 +18,7 @@ void block_lower_solve(const BlockFactor& f, std::vector<double>& x);
 // In-place backward solve: x := L^{-T} x.
 void block_lower_transpose_solve(const BlockFactor& f, std::vector<double>& x);
 
-// Full solve A x = b given A = L L^T.
+// Full solve A x = b given A = L L^T (scalar reference).
 std::vector<double> block_solve(const BlockFactor& f, const std::vector<double>& b);
 
 // Panel sweeps (docs/SOLVE.md): in-place forward / backward solve of an
@@ -35,11 +38,5 @@ void block_lower_transpose_solve_panel(const BlockFactor& f, double* x,
 // the factor is walked once per panel, not once per RHS column).
 void block_solve_multi(const BlockFactor& f, DenseMatrix& b,
                        idx nrhs_block = 32);
-
-// One step of iterative refinement: x += A^{-1} (b - A x) using the factor.
-// Returns the inf-norm of the correction (a convergence indicator). `a` must
-// be the SAME (permuted) matrix the factor was computed from.
-double refine_once(const SymSparse& a, const BlockFactor& f,
-                   const std::vector<double>& b, std::vector<double>& x);
 
 }  // namespace spc

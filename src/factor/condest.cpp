@@ -1,8 +1,8 @@
 #include "factor/condest.hpp"
 
 #include <cmath>
+#include <memory>
 
-#include "factor/block_solve.hpp"
 #include "factor/parallel_solve.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -40,26 +40,17 @@ double estimate_norm2(const SymSparse& a, int iters, std::uint64_t seed) {
   return lambda;
 }
 
-double estimate_inv_norm2(const SymSparse& a, const BlockFactor& f, int iters,
-                          std::uint64_t seed) {
-  SPC_CHECK(iters >= 1, "estimate_inv_norm2: iters must be >= 1");
-  SPC_CHECK(a.num_rows() == f.structure->part.num_cols(),
-            "estimate_inv_norm2: matrix/factor mismatch");
-  std::vector<double> v = random_unit(a.num_rows(), seed);
-  double lambda = 0.0;
-  for (int it = 0; it < iters; ++it) {
-    v = block_solve(f, v);
-    lambda = normalize(v);
-  }
-  return lambda;
-}
-
 double estimate_inv_norm2(const SymSparse& a, const BlockFactor& f,
                           const SolveOptions& opt, SolveWorkspace* ws, int iters,
                           std::uint64_t seed) {
   SPC_CHECK(iters >= 1, "estimate_inv_norm2: iters must be >= 1");
   SPC_CHECK(a.num_rows() == f.structure->part.num_cols(),
             "estimate_inv_norm2: matrix/factor mismatch");
+  std::unique_ptr<SolveWorkspace> local;
+  if (ws == nullptr) {
+    local = std::make_unique<SolveWorkspace>(*f.structure);
+    ws = local.get();
+  }
   std::vector<double> v = random_unit(a.num_rows(), seed);
   double lambda = 0.0;
   for (int it = 0; it < iters; ++it) {
@@ -67,10 +58,6 @@ double estimate_inv_norm2(const SymSparse& a, const BlockFactor& f,
     lambda = normalize(v);
   }
   return lambda;
-}
-
-double estimate_condition(const SymSparse& a, const BlockFactor& f, int iters) {
-  return estimate_norm2(a, iters) * estimate_inv_norm2(a, f, iters);
 }
 
 double estimate_condition(const SymSparse& a, const BlockFactor& f,

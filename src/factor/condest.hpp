@@ -18,22 +18,17 @@ double estimate_norm2(const SymSparse& a, int iters = 30, std::uint64_t seed = 7
 
 // Estimate of ||A^{-1}||_2 = 1/lambda_min(A) by power iteration on A^{-1},
 // using the factor (which must be of `a` itself, i.e. the PERMUTED matrix).
-double estimate_inv_norm2(const SymSparse& a, const BlockFactor& f, int iters = 30,
+// The per-iteration solves run in place through block_solve_panel
+// (factor/parallel_solve.hpp) on `ws`, or on one local workspace when `ws`
+// is null, so the power iteration allocates nothing at steady state.
+double estimate_inv_norm2(const SymSparse& a, const BlockFactor& f,
+                          const SolveOptions& opt = {},
+                          SolveWorkspace* ws = nullptr, int iters = 30,
                           std::uint64_t seed = 7);
 
-// Same, with the per-iteration solves routed through the panel/parallel
-// path of factor/parallel_solve.hpp (in place, reusing `ws` so the power
-// iteration allocates nothing at steady state).
-double estimate_inv_norm2(const SymSparse& a, const BlockFactor& f,
-                          const SolveOptions& opt, SolveWorkspace* ws = nullptr,
-                          int iters = 30, std::uint64_t seed = 7);
-
 // 2-norm condition number estimate of the (permuted) matrix.
-double estimate_condition(const SymSparse& a, const BlockFactor& f, int iters = 30);
-
-// Condition estimate with panel/parallel solves (see above).
 double estimate_condition(const SymSparse& a, const BlockFactor& f,
-                          const SolveOptions& opt, SolveWorkspace* ws = nullptr,
-                          int iters = 30);
+                          const SolveOptions& opt = {},
+                          SolveWorkspace* ws = nullptr, int iters = 30);
 
 }  // namespace spc

@@ -262,9 +262,19 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
   const idx nb = bs.num_block_cols();
   const idx n = bs.part.num_cols();
   // The serial sweeps use no counters and no accumulators — only one update
-  // panel — so skip prepare_run() and its per-worker accumulator growth.
+  // panel — so skip prepare_run() and its per-worker accumulator growth, but
+  // charge that panel's growth to the budget with prepare_run's accounting.
+  ws.bind_budget(opt.budget);
   if (ws.scratch.empty()) ws.scratch.resize(1);
+  const i64 update_res = ws.max_entry_rows * nrhs;
+  if (update_res > ws.update_reserved) {
+    ws.charge.add((update_res - ws.update_reserved) *
+                      static_cast<i64>(ws.scratch.size() * sizeof(double)),
+                  "solve");
+    ws.update_reserved = update_res;
+  }
   DenseMatrix& scratch = ws.scratch[0].update;
+  scratch.reserve(std::max<i64>(ws.max_entry_rows, 1), nrhs);
   SolveProfile::Worker* pw = nullptr;
   if (prof != nullptr) {
     prof->workers.assign(1, {});

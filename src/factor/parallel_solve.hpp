@@ -161,10 +161,12 @@ void block_solve_multi_parallel(const BlockFactor& f, DenseMatrix& b,
                                 const SolveOptions& opt = {},
                                 SolveWorkspace* ws = nullptr);
 
-// One step of iterative refinement with the correction solve routed through
-// the panel/parallel path (semantics of refine_once in block_solve.hpp).
+// One step of iterative refinement: x += A^{-1} (b - A x), with the
+// correction solved by block_solve_panel. Returns the inf-norm of the
+// correction (a convergence indicator). `a` must be the SAME (permuted)
+// matrix the factor was computed from.
 double refine_once(const SymSparse& a, const BlockFactor& f,
                    const std::vector<double>& b, std::vector<double>& x,
-                   const SolveOptions& opt, SolveWorkspace* ws = nullptr);
+                   const SolveOptions& opt = {}, SolveWorkspace* ws = nullptr);
 
 }  // namespace spc

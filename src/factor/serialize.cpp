@@ -7,7 +7,7 @@
 #include <ostream>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/block_solve.hpp"
+#include "factor/parallel_solve.hpp"
 #include "support/error.hpp"
 
 namespace spc {
@@ -174,10 +174,10 @@ std::vector<double> SavedFactorization::solve(const std::vector<double>& b) cons
   for (std::size_t k = 0; k < b.size(); ++k) {
     pb[k] = b[static_cast<std::size_t>(perm[k])];
   }
-  const std::vector<double> px = block_solve(factor, pb);
+  block_solve_panel(factor, pb.data(), 1);  // in place: pb becomes P x
   std::vector<double> x(b.size());
   for (std::size_t k = 0; k < b.size(); ++k) {
-    x[static_cast<std::size_t>(perm[k])] = px[k];
+    x[static_cast<std::size_t>(perm[k])] = pb[k];
   }
   return x;
 }

@@ -180,7 +180,8 @@ TEST(Blocking, SolveMatchesAcrossPolicies) {
 // Multi-thread wall-clock scaling is asserted only when the host actually
 // has the cores; on a 1-core container "2 threads faster than 1" is an
 // oversubscription coin flip, so the assertion (not the parity checks
-// above) is skipped.
+// above) is skipped. tests/CMakeLists.txt runs it alone (ctest label `perf`,
+// RUN_SERIAL) so parallel ctest processes cannot steal its cores.
 TEST(Blocking, ParallelFactorScalesWhenHostHasCores) {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw < 4) {

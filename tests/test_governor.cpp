@@ -244,6 +244,29 @@ TEST_F(GovernorTest, CleanGovernedRunHasEmptyPathAndDrainsAccounting) {
   EXPECT_EQ(budget->in_use_bytes(), 0);
 }
 
+// The one-argument solve(b) is the governed solve: it must charge the
+// solver's budget for its workspace exactly as solve(b, SolveOptions{}) does
+// on an identical facade, and return the bitwise-same solution.
+TEST_F(GovernorTest, PlainSolveChargesTheBudgetLikeExplicitOptions) {
+  const SymSparse a = governed_mesh();
+  SparseCholesky plain = SparseCholesky::analyze(a);
+  SparseCholesky explicit_opt = SparseCholesky::analyze(a);
+  plain.factorize();
+  explicit_opt.factorize();
+  const i64 before = plain.memory_budget()->in_use_bytes();
+  ASSERT_EQ(explicit_opt.memory_budget()->in_use_bytes(), before);
+
+  Rng rng(12);
+  std::vector<double> b(static_cast<std::size_t>(a.num_rows()));
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  const std::vector<double> x = plain.solve(b);
+  const std::vector<double> y = explicit_opt.solve(b, SolveOptions{});
+  EXPECT_GT(plain.memory_budget()->in_use_bytes(), before);
+  EXPECT_EQ(plain.memory_budget()->in_use_bytes(),
+            explicit_opt.memory_budget()->in_use_bytes());
+  EXPECT_EQ(x, y);
+}
+
 TEST_F(GovernorTest, AdmissionControlRejectsInfeasibleParallelRun) {
   const SymSparse a = governed_mesh();
   SolverOptions opt;

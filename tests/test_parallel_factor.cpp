@@ -104,7 +104,7 @@ TEST(ParallelFactor, PropagatesIndefiniteError) {
 }
 
 // Stress the work-stealing executor: repeated runs at every thread count
-// 1..8 under both schedulers must agree with the sequential factorization.
+// 1..8 must agree with the sequential factorization.
 // Catches scheduling-dependent races (lost wakeups, scatter under the wrong
 // lock, scratch reuse between tasks) that a single run can miss; also the
 // body of the `tsan`-labeled ctest run (see tests/CMakeLists.txt).
@@ -114,34 +114,25 @@ TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
   const BlockFactor seq =
       block_factorize(chol.permuted_matrix(), chol.structure());
   const int reps = 3;
-  for (auto sched : {ParallelFactorOptions::Scheduler::kWorkStealing,
-                     ParallelFactorOptions::Scheduler::kGlobalQueue}) {
-    for (int threads = 1; threads <= 8; ++threads) {
-      for (int rep = 0; rep < reps; ++rep) {
-        ParallelFactorOptions popt{threads};
-        popt.scheduler = sched;
-        const BlockFactor par = block_factorize_parallel(
-            chol.permuted_matrix(), chol.structure(), chol.task_graph(), popt);
-        ASSERT_EQ(seq.diag.size(), par.diag.size());
-        ASSERT_EQ(seq.offdiag.size(), par.offdiag.size());
-        double max_diff = 0.0;
-        for (std::size_t j = 0; j < seq.diag.size(); ++j) {
-          DenseMatrix d = seq.diag[j];
-          d.axpy(-1.0, par.diag[j]);
-          max_diff = std::max(max_diff, d.norm());
-        }
-        for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
-          DenseMatrix d = seq.offdiag[e];
-          d.axpy(-1.0, par.offdiag[e]);
-          max_diff = std::max(max_diff, d.norm());
-        }
-        EXPECT_LT(max_diff, 1e-8)
-            << "sched="
-            << (sched == ParallelFactorOptions::Scheduler::kWorkStealing
-                    ? "steal"
-                    : "global")
-            << " threads=" << threads << " rep=" << rep;
+  for (int threads = 1; threads <= 8; ++threads) {
+    for (int rep = 0; rep < reps; ++rep) {
+      ParallelFactorOptions popt{threads};
+      const BlockFactor par = block_factorize_parallel(
+          chol.permuted_matrix(), chol.structure(), chol.task_graph(), popt);
+      ASSERT_EQ(seq.diag.size(), par.diag.size());
+      ASSERT_EQ(seq.offdiag.size(), par.offdiag.size());
+      double max_diff = 0.0;
+      for (std::size_t j = 0; j < seq.diag.size(); ++j) {
+        DenseMatrix d = seq.diag[j];
+        d.axpy(-1.0, par.diag[j]);
+        max_diff = std::max(max_diff, d.norm());
       }
+      for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
+        DenseMatrix d = seq.offdiag[e];
+        d.axpy(-1.0, par.offdiag[e]);
+        max_diff = std::max(max_diff, d.norm());
+      }
+      EXPECT_LT(max_diff, 1e-8) << "threads=" << threads << " rep=" << rep;
     }
   }
 }

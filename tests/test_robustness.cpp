@@ -357,14 +357,6 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
               col)
         << "threads=" << threads;
   }
-  ParallelFactorOptions gq;
-  gq.num_threads = 4;
-  gq.scheduler = ParallelFactorOptions::Scheduler::kGlobalQueue;
-  EXPECT_EQ(breakdown_column([&] {
-              block_factorize_parallel(ap, chol.structure(), chol.task_graph(),
-                                       gq);
-            }),
-            col);
 }
 
 TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {

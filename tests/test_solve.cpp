@@ -376,20 +376,20 @@ TEST(CholeskySolveOpts, PerturbedPivotSolveRefinesThroughPanelPath) {
 
 // --- condest / residual overloads -------------------------------------------
 
+// The default (threads=1, serial panel sweeps) estimate is the reference:
+// a caller-supplied workspace must not change it, and the DAG executor at
+// threads=4 must agree with it.
 TEST(SolveCondest, PanelOverloadMatchesScalarEstimate) {
   const SymSparse a = make_grid2d(16, 16);
   const SparseCholesky chol = factorized(a);
   const SymSparse& ap = chol.permuted_matrix();
   const double want = estimate_inv_norm2(ap, chol.factor());
   SolveWorkspace ws(chol.structure());
-  for (int threads : {1, 4}) {
-    SolveOptions opt;
-    opt.threads = threads;
-    const double got = estimate_inv_norm2(ap, chol.factor(), opt, &ws);
-    EXPECT_NEAR(got, want, 1e-6 * want);
-  }
+  EXPECT_EQ(estimate_inv_norm2(ap, chol.factor(), SolveOptions{}, &ws), want);
   SolveOptions opt;
-  opt.threads = 2;
+  opt.threads = 4;
+  const double got = estimate_inv_norm2(ap, chol.factor(), opt, &ws);
+  EXPECT_NEAR(got, want, 1e-6 * want);
   const double cond = estimate_condition(ap, chol.factor(), opt, &ws);
   EXPECT_NEAR(cond, estimate_condition(ap, chol.factor()), 1e-6 * cond);
 }
