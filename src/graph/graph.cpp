@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "graph/permutation.hpp"
 #include "support/error.hpp"
@@ -22,30 +21,13 @@ Graph Graph::from_edges(idx n, const std::vector<std::pair<idx, idx>>& edges) {
   std::sort(sym.begin(), sym.end());
   sym.erase(std::unique(sym.begin(), sym.end()), sym.end());
 
-  Graph g;
-  g.n_ = n;
-  g.ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (auto [u, v] : sym) ++g.ptr_[static_cast<std::size_t>(u) + 1];
-  for (idx v = 0; v < n; ++v) g.ptr_[v + 1] += g.ptr_[v];
-  g.adj_.resize(sym.size());
-  {
-    std::vector<i64> cursor(g.ptr_.begin(), g.ptr_.end() - 1);
-    for (auto [u, v] : sym) g.adj_[static_cast<std::size_t>(cursor[u]++)] = v;
-  }
-  return g;
-}
-
-Graph Graph::permuted(const std::vector<idx>& perm) const {
-  SPC_CHECK(static_cast<idx>(perm.size()) == n_, "Graph::permuted: size mismatch");
-  const std::vector<idx> inv = inverse_permutation(perm);
-  std::vector<std::pair<idx, idx>> edges;
-  edges.reserve(adj_.size() / 2);
-  for (idx v = 0; v < n_; ++v) {
-    for (const idx* p = adj_begin(v); p != adj_end(v); ++p) {
-      if (v < *p) edges.emplace_back(inv[v], inv[*p]);
-    }
-  }
-  return from_edges(n_, edges);
+  std::vector<i64> ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (auto [u, v] : sym) ++ptr[static_cast<std::size_t>(u) + 1];
+  for (idx v = 0; v < n; ++v) ptr[v + 1] += ptr[v];
+  std::vector<idx> adj(sym.size());
+  std::vector<i64> cursor(ptr.begin(), ptr.end() - 1);
+  for (auto [u, v] : sym) adj[static_cast<std::size_t>(cursor[u]++)] = v;
+  return Graph(n, std::move(ptr), std::move(adj));
 }
 
 void Graph::validate() const {
@@ -144,39 +126,78 @@ SymSparse SymSparse::from_entries(idx n, const std::vector<double>& diag,
   return m;
 }
 
+SymSparse SymSparse::from_csc(idx n, std::vector<i64> col_ptr, std::vector<idx> row_idx,
+                              std::vector<double> values) {
+  SymSparse m(n, std::move(col_ptr), std::move(row_idx), std::move(values));
+  m.validate();
+  return m;
+}
+
 Graph SymSparse::pattern() const {
-  std::vector<std::pair<idx, idx>> edges;
-  edges.reserve(row_.size());
+  // adj(v) = the columns c < v that hold row v, then column v's rows below the
+  // diagonal. Both counting sweeps emit ascending indices.
+  std::vector<i64> ptr(static_cast<std::size_t>(n_) + 1, 0);
   for (idx c = 0; c < n_; ++c) {
-    for (i64 k = ptr_[c]; k < ptr_[c + 1]; ++k) {
-      const idx r = row_[static_cast<std::size_t>(k)];
-      if (r != c) edges.emplace_back(r, c);
-    }
+    ptr[c + 1] += ptr_[c + 1] - ptr_[c] - 1;
+    for (i64 k = ptr_[c] + 1; k < ptr_[c + 1]; ++k) ++ptr[row_[k] + 1];
   }
-  return Graph::from_edges(n_, edges);
+  for (idx v = 0; v < n_; ++v) ptr[v + 1] += ptr[v];
+  std::vector<idx> adj(static_cast<std::size_t>(ptr[n_]));
+  std::vector<i64> cursor(ptr.begin(), ptr.end() - 1);
+  for (idx c = 0; c < n_; ++c) {
+    for (i64 k = ptr_[c] + 1; k < ptr_[c + 1]; ++k) adj[cursor[row_[k]]++] = c;
+  }
+  for (idx v = 0; v < n_; ++v) {
+    std::copy(row_.begin() + ptr_[v] + 1, row_.begin() + ptr_[v + 1], adj.begin() + cursor[v]);
+  }
+  return Graph(n_, std::move(ptr), std::move(adj));
 }
 
 SymSparse SymSparse::permuted(const std::vector<idx>& perm) const {
   SPC_CHECK(static_cast<idx>(perm.size()) == n_, "SymSparse::permuted: size mismatch");
   const std::vector<idx> inv = inverse_permutation(perm);
-  std::vector<double> diag(static_cast<std::size_t>(n_));
-  std::vector<std::pair<idx, idx>> pos;
-  std::vector<double> val;
-  pos.reserve(row_.size());
-  val.reserve(row_.size());
-  for (idx c = 0; c < n_; ++c) {
-    for (i64 k = ptr_[c]; k < ptr_[c + 1]; ++k) {
-      const idx r = row_[static_cast<std::size_t>(k)];
-      const double v = val_[static_cast<std::size_t>(k)];
-      if (r == c) {
-        diag[static_cast<std::size_t>(inv[c])] = v;
-      } else {
-        pos.emplace_back(inv[r], inv[c]);
-        val.push_back(v);
+  // Off-diagonal (r, c) lands in new row max(inv[r], inv[c]) of new column
+  // min(...). Bucket the entries by new row, then sweep the rows in order into
+  // their columns, each led by its diagonal: rows come out ascending.
+  const auto each_offdiag = [&](auto&& f) {
+    for (idx c = 0; c < n_; ++c) {
+      for (i64 k = ptr_[c] + 1; k < ptr_[c + 1]; ++k) {
+        const idx i = inv[row_[k]];
+        f(std::max(i, inv[c]), std::min(i, inv[c]), k);
       }
     }
+  };
+  std::vector<i64> rptr(static_cast<std::size_t>(n_) + 1, 0);
+  std::vector<i64> cptr(static_cast<std::size_t>(n_) + 1, 0);
+  each_offdiag([&](idx i, idx j, i64) { ++rptr[i + 1]; ++cptr[j + 1]; });
+  for (idx v = 0; v < n_; ++v) {
+    rptr[v + 1] += rptr[v];
+    cptr[v + 1] += cptr[v] + 1;  // + the diagonal
   }
-  return from_entries(n_, diag, pos, val);
+  std::vector<idx> bcol(static_cast<std::size_t>(rptr[n_]));
+  std::vector<double> bval(bcol.size());
+  std::vector<i64> cursor(rptr.begin(), rptr.end() - 1);
+  each_offdiag([&](idx i, idx j, i64 k) {
+    const i64 at = cursor[i]++;
+    bcol[at] = j;
+    bval[at] = val_[k];
+  });
+  std::vector<idx> row(row_.size());
+  std::vector<double> val(row_.size());
+  for (idx c = 0; c < n_; ++c) {
+    const idx j = inv[c];
+    row[cptr[j]] = j;
+    val[cptr[j]] = val_[ptr_[c]];
+    cursor[j] = cptr[j] + 1;
+  }
+  for (idx i = 0; i < n_; ++i) {
+    for (i64 e = rptr[i]; e < rptr[i + 1]; ++e) {
+      const i64 at = cursor[bcol[e]]++;
+      row[at] = i;
+      val[at] = bval[e];
+    }
+  }
+  return SymSparse(n_, std::move(cptr), std::move(row), std::move(val));
 }
 
 std::vector<double> SymSparse::multiply(const std::vector<double>& x) const {

@@ -12,6 +12,7 @@
 //   inverse(perm)[v] = position of original vertex v in the ordering (old -> new)
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "support/types.hpp"
@@ -36,14 +37,15 @@ class Graph {
   const std::vector<i64>& ptr() const { return ptr_; }
   const std::vector<idx>& adj() const { return adj_; }
 
-  // Graph with vertices renumbered so that new vertex k is old vertex perm[k].
-  Graph permuted(const std::vector<idx>& perm) const;
-
   // Checks internal invariants (sorted, symmetric, in-range); throws on
   // violation. Used by tests and by from_edges in debug paths.
   void validate() const;
 
  private:
+  friend class SymSparse;  // pattern() adopts the sorted ptr/adj it builds
+  Graph(idx n, std::vector<i64> ptr, std::vector<idx> adj)
+      : n_(n), ptr_(std::move(ptr)), adj_(std::move(adj)) {}
+
   idx n_ = 0;
   std::vector<i64> ptr_;   // size n+1
   std::vector<idx> adj_;   // size 2 * #edges
@@ -62,6 +64,9 @@ class SymSparse {
   static SymSparse from_entries(idx n, const std::vector<double>& diag,
                                 const std::vector<std::pair<idx, idx>>& offdiag_pos,
                                 const std::vector<double>& offdiag_val);
+  // Adopts arrays already in canonical column form; validate()s them.
+  static SymSparse from_csc(idx n, std::vector<i64> col_ptr, std::vector<idx> row_idx,
+                            std::vector<double> values);
 
   idx num_rows() const { return n_; }
   // Nonzeros in the stored lower triangle (including the diagonal).
@@ -71,11 +76,13 @@ class SymSparse {
   const std::vector<idx>& row_idx() const { return row_; }
   const std::vector<double>& values() const { return val_; }
 
-  // Pattern as an adjacency graph (off-diagonal entries only).
+  // Pattern as an adjacency graph (off-diagonal entries only). Two counting
+  // sweeps, O(n + nnz), no sort.
   Graph pattern() const;
 
-  // Symmetric permutation: entry (i, j) moves to (new(i), new(j)); result is
-  // re-canonicalized to lower-triangular column form.
+  // Symmetric permutation: entry (i, j) moves to (new(i), new(j)), in
+  // canonical column form. A counting transpose, O(n + nnz), no sort; values
+  // are copied bitwise.
   SymSparse permuted(const std::vector<idx>& perm) const;
 
   // y = A * x using the symmetric structure (both triangles implied).
@@ -89,6 +96,9 @@ class SymSparse {
   std::vector<i64> ptr_;      // size n+1
   std::vector<idx> row_;      // row indices, diagonal first per column
   std::vector<double> val_;
+
+  SymSparse(idx n, std::vector<i64> ptr, std::vector<idx> row, std::vector<double> val)
+      : n_(n), ptr_(std::move(ptr)), row_(std::move(row)), val_(std::move(val)) {}
 };
 
 }  // namespace spc

@@ -1,7 +1,6 @@
 #include "symbolic/colcount.hpp"
 
 #include "support/error.hpp"
-#include "symbolic/etree.hpp"
 
 namespace spc {
 
@@ -10,15 +9,13 @@ std::vector<i64> factor_col_counts(const SymSparse& a, const std::vector<idx>& p
   SPC_CHECK(static_cast<idx>(parent.size()) == n, "factor_col_counts: size mismatch");
   std::vector<i64> count(static_cast<std::size_t>(n), 0);
   std::vector<idx> mark(static_cast<std::size_t>(n), kNone);
-  std::vector<i64> rptr;
-  std::vector<idx> rcol;
-  lower_row_structure(a, rptr, rcol);
+  const Graph g = a.pattern();
   // All walks for one row happen consecutively so the per-row marks stay
-  // valid: entry (i, k) of A seeds a walk from k toward the root, stopping
-  // at columns already visited for row i.
+  // valid: entry (i, k) of A, k < i, seeds a walk from k toward the root,
+  // stopping at columns already visited for row i.
   for (idx i = 0; i < n; ++i) {
-    for (i64 e = rptr[static_cast<std::size_t>(i)]; e < rptr[static_cast<std::size_t>(i) + 1]; ++e) {
-      idx j = rcol[static_cast<std::size_t>(e)];
+    for (const idx* p = g.adj_begin(i); p != g.adj_end(i) && *p < i; ++p) {
+      idx j = *p;
       while (j != kNone && j < i && mark[static_cast<std::size_t>(j)] != i) {
         ++count[static_cast<std::size_t>(j)];
         mark[static_cast<std::size_t>(j)] = i;

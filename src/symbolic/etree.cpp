@@ -7,38 +7,25 @@
 
 namespace spc {
 
-void lower_row_structure(const SymSparse& a, std::vector<i64>& rptr,
-                         std::vector<idx>& rcol) {
-  const idx n = a.num_rows();
-  const auto& ptr = a.col_ptr();
-  const auto& row = a.row_idx();
-  rptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t e = 0; e < row.size(); ++e) ++rptr[static_cast<std::size_t>(row[e]) + 1];
-  // Subtract diagonals (entry (c,c) exists for each column).
-  for (idx c = 0; c < n; ++c) --rptr[static_cast<std::size_t>(c) + 1];
-  for (idx i = 0; i < n; ++i) rptr[static_cast<std::size_t>(i) + 1] += rptr[static_cast<std::size_t>(i)];
-  rcol.resize(static_cast<std::size_t>(rptr[static_cast<std::size_t>(n)]));
-  std::vector<i64> cursor(rptr.begin(), rptr.end() - 1);
-  for (idx c = 0; c < n; ++c) {
-    for (i64 e = ptr[static_cast<std::size_t>(c)] + 1; e < ptr[static_cast<std::size_t>(c) + 1]; ++e) {
-      rcol[static_cast<std::size_t>(cursor[static_cast<std::size_t>(row[static_cast<std::size_t>(e)])]++)] = c;
-    }
-  }
+std::vector<idx> elimination_tree(const SymSparse& a) {
+  return elimination_tree(a, identity_permutation(a.num_rows()));
 }
 
-std::vector<idx> elimination_tree(const SymSparse& a) {
+std::vector<idx> elimination_tree(const SymSparse& a, const std::vector<idx>& perm) {
   const idx n = a.num_rows();
+  SPC_CHECK(static_cast<idx>(perm.size()) == n, "elimination_tree: permutation size mismatch");
+  const std::vector<idx> inv = inverse_permutation(perm);
+  const Graph g = a.pattern();
   std::vector<idx> parent(static_cast<std::size_t>(n), kNone);
   std::vector<idx> ancestor(static_cast<std::size_t>(n), kNone);
-  // Liu's algorithm with path compression, consuming rows of the lower
-  // triangle in increasing row order.
-  std::vector<i64> rptr;
-  std::vector<idx> rcol;
-  lower_row_structure(a, rptr, rcol);
-
+  // Liu's algorithm with path compression, consuming the rows of the lower
+  // triangle of A(perm, perm) in increasing order. Row i holds the neighbours
+  // u of perm[i] with inv[u] < i; the algorithm takes them in any order.
   for (idx i = 0; i < n; ++i) {
-    for (i64 e = rptr[static_cast<std::size_t>(i)]; e < rptr[static_cast<std::size_t>(i) + 1]; ++e) {
-      idx j = rcol[static_cast<std::size_t>(e)];
+    const idx v = perm[static_cast<std::size_t>(i)];
+    for (const idx* p = g.adj_begin(v); p != g.adj_end(v); ++p) {
+      idx j = inv[static_cast<std::size_t>(*p)];
+      if (j >= i) continue;
       while (ancestor[static_cast<std::size_t>(j)] != kNone &&
              ancestor[static_cast<std::size_t>(j)] != i) {
         const idx next = ancestor[static_cast<std::size_t>(j)];

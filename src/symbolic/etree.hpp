@@ -12,11 +12,9 @@ namespace spc {
 // parent[j] = kNone for roots (the etree is a forest if A is reducible).
 std::vector<idx> elimination_tree(const SymSparse& a);
 
-// Row-major view of the strictly-lower triangle of A: for each row i, the
-// column indices k < i with A(i,k) != 0, in increasing order. Shared by the
-// etree and column-count algorithms, which consume A by rows.
-void lower_row_structure(const SymSparse& a, std::vector<i64>& rptr,
-                         std::vector<idx>& rcol);
+// Elimination tree of A(perm, perm), read from A's pattern through the inverse
+// permutation: equal to elimination_tree(a.permuted(perm)), but no values move.
+std::vector<idx> elimination_tree(const SymSparse& a, const std::vector<idx>& perm);
 
 // A postorder of the forest: post[k] = the vertex visited k-th. Children are
 // visited before parents; each subtree's vertices are contiguous in post.

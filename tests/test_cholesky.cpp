@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "gen/lp_gen.hpp"
 #include "gen/mesh_gen.hpp"
 #include "graph/permutation.hpp"
+#include "ordering/mmd.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "symbolic/colcount.hpp"
@@ -36,6 +38,63 @@ TEST(Facade, PermutedMatrixConsistentWithOrdering) {
   const SymSparse manual = a.permuted(chol.ordering());
   EXPECT_EQ(manual.col_ptr(), chol.permuted_matrix().col_ptr());
   EXPECT_EQ(manual.row_idx(), chol.permuted_matrix().row_idx());
+}
+
+// analyze_ordered reads the etree of A(perm, perm) off the pattern and moves
+// the values once, into perm o post. It must equal the two-permute pipeline
+// it replaced: permute by perm, take that matrix's etree and postorder, then
+// permute again by post.
+TEST(Facade, SingleValueMoveMatchesTwoPermutePipeline) {
+  std::vector<SymSparse> inputs = {make_grid2d(13, 9), make_fem_mesh({70, 3, 3, 10.0, 5})};
+  LpGenOptions lp;
+  lp.n = 400;
+  inputs.push_back(make_lp_normal_equations(lp));
+  for (const SymSparse& a : inputs) {
+    const std::vector<idx> perm = mmd_order(a.pattern());
+    const SymSparse a1 = a.permuted(perm);
+    const std::vector<idx> parent1 = elimination_tree(a1);
+    const std::vector<idx> post = etree_postorder(parent1);
+    const SymSparse a2 = a1.permuted(post);
+
+    const SparseCholesky chol = SparseCholesky::analyze_ordered(a, perm);
+    EXPECT_EQ(chol.ordering(), compose_permutations(perm, post));
+    EXPECT_EQ(chol.etree_parent(), relabel_parent(parent1, post));
+    EXPECT_EQ(chol.permuted_matrix().col_ptr(), a2.col_ptr());
+    EXPECT_EQ(chol.permuted_matrix().row_idx(), a2.row_idx());
+    EXPECT_EQ(chol.permuted_matrix().values(), a2.values());
+  }
+}
+
+// 64-bit FNV-1a over the ordering, each index as 4 little-endian bytes.
+std::uint64_t fnv1a(const std::vector<idx>& v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (idx x : v) {
+    const auto u = static_cast<std::uint32_t>(x);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (u >> (8 * b)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// Pins the default analyze (MMD, etree postorder, symbolic) on fixed inputs,
+// so a change to the ordering or to the data movement around it cannot slip
+// by as "same fill, different order". The values were recorded before the
+// sort-free pattern/permute builders landed and must not move with them.
+// Larger check, outside this suite: the perfbench LP10000 request at seed 11
+// (n=10000, mean_overlap=200, hubs=80, hub_span=0.05) must still give
+// nnz(L) = 1,936,643, which its traced replay prints.
+TEST(Facade, GoldenDefaultAnalyze) {
+  const SparseCholesky lp = SparseCholesky::analyze(make_lp_normal_equations(LpGenOptions{}));
+  EXPECT_EQ(lp.factor_nnz_exact(), 49592);
+  EXPECT_EQ(lp.factor_flops_exact(), 1458472);
+  EXPECT_EQ(fnv1a(lp.ordering()), 0x3e54e6535240d303ULL);
+
+  const SparseCholesky mesh = SparseCholesky::analyze(make_fem_mesh(MeshGenOptions{}));
+  EXPECT_EQ(mesh.factor_nnz_exact(), 499359);
+  EXPECT_EQ(mesh.factor_flops_exact(), 141079886);
+  EXPECT_EQ(fnv1a(mesh.ordering()), 0xe34f7d5f83543153ULL);
 }
 
 TEST(Facade, FactorStatsMatchDirectComputation) {

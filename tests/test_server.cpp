@@ -323,6 +323,14 @@ TEST(Protocol, MalformedPayloadCorpus) {
     expect_malformed_payload(p, decode_analyze_request, "zero diagonal");
   }
   {
+    // col_ptr[1] points past the last row entry while both endpoints stay
+    // valid: the column sweep must reject it before reading past row[].
+    std::vector<u8> bad = good;
+    const i64 past_end = req.matrix.nnz_lower() + 5;
+    std::memcpy(&bad[3 * sizeof(i64)], &past_end, sizeof(i64));  // n, count, ptr[0]
+    expect_malformed_payload(bad, decode_analyze_request, "col_ptr past the end");
+  }
+  {
     SolveRequest sr;
     sr.key = {1, 1};
     sr.rhs = {1.0};
