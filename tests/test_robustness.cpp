@@ -9,6 +9,7 @@
 
 #include "support/sync.hpp"
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -209,6 +210,130 @@ TEST(MatrixMarketRobust, SpdizeOptOutKeepsRawValues) {
     const SymSparse m = read_matrix_market(in, &boosted);  // default: repair
     EXPECT_TRUE(boosted);
     m.validate();  // boosted diagonal is positive and dominant
+  }
+}
+
+// Outcome of reading `line` as the only entry of a 3x3 symmetric file with
+// the given field: "ok" followed by each stored lower entry "row col value"
+// (0-based, value in %a; all-zero diagonal entries skipped), or the error
+// message with its line number.
+std::string mm_entry_outcome(const char* field, const std::string& line) {
+  std::istringstream in(std::string("%%MatrixMarket matrix coordinate ") + field +
+                        " symmetric\n3 3 1\n" + line + "\n");
+  try {
+    const SymSparse m = read_matrix_market(in, nullptr, /*spdize=*/false);
+    std::string out = "ok";
+    for (idx c = 0; c < m.num_rows(); ++c) {
+      for (i64 k = m.col_ptr()[static_cast<std::size_t>(c)];
+           k < m.col_ptr()[static_cast<std::size_t>(c) + 1]; ++k) {
+        const idx r = m.row_idx()[static_cast<std::size_t>(k)];
+        const double v = m.values()[static_cast<std::size_t>(k)];
+        if (r == c && v == 0.0 && !std::signbit(v)) continue;
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), " %d %d %a", r, c, v);
+        out += buf;
+      }
+    }
+    return out;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformedInput) << line;
+    return e.what();
+  }
+}
+
+// Entry-line edge corpus: sign forms, bare decimal points, exponents,
+// inf/nan spellings, hex, overflow and underflow, subnormals, overlong and
+// extreme integers, fields run together, trailing garbage, and every blank
+// character. Each outcome was recorded from the istringstream-based reader
+// and pins the from_chars parser to it: same value bits, same error text,
+// same line.
+TEST(MatrixMarketRobust, EntryParsingMatchesRecordedOutcomes) {
+  struct Case {
+    const char* field;
+    const char* line;
+    const char* outcome;
+  };
+  const Case corpus[] = {
+      {"real", "2 1 1.5", "ok 1 0 0x1.8p+0"},
+      {"real", "2 1 -1.5", "ok 1 0 -0x1.8p+0"},
+      {"real", "2 1 +1.5", "ok 1 0 0x1.8p+0"},
+      {"real", "2 1 .5", "ok 1 0 0x1p-1"},
+      {"real", "2 1 5.", "ok 1 0 0x1.4p+2"},
+      {"real", "2 1 -.5", "ok 1 0 -0x1p-1"},
+      {"real", "2 1 +.5", "ok 1 0 0x1p-1"},
+      {"real", "2 1 1e3", "ok 1 0 0x1.f4p+9"},
+      {"real", "2 1 1E-3", "ok 1 0 0x1.0624dd2f1a9fcp-10"},
+      {"real", "2 1 1e+3", "ok 1 0 0x1.f4p+9"},
+      {"real", "2 1 5.e2", "ok 1 0 0x1.f4p+8"},
+      {"real", "2 1 .5e-1", "ok 1 0 0x1.999999999999ap-5"},
+      {"real", "2 1 0.1", "ok 1 0 0x1.999999999999ap-4"},
+      {"real", "2 1 00012.5000", "ok 1 0 0x1.9p+3"},
+      {"real", "2 1 123456789012345678901234567890", "ok 1 0 0x1.8ee90ff6c373ep+96"},
+      {"real", "3 2 -0.0", "ok 2 1 -0x0p+0"},
+      {"real", "1 1 2.5", "ok 0 0 0x1.4p+1"},
+      {"real", "2 1 1e", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 1e+", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 .", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 -", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 - 1", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 +-1", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 --1", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 inf", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 -inf", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 +inf", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 infinity", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 nan", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 NaN", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 -nan", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 0x10", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 0x1p3", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 1e400", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 -1e400", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 1.7976931348623157e308", "ok 1 0 0x1.fffffffffffffp+1023"},
+      {"real", "2 1 1.7976931348623159e308", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 1e99999999999999999999", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 1e-400", "ok 1 0 0x0p+0"},
+      {"real", "2 1 -1e-400", "ok 1 0 -0x0p+0"},
+      {"real", "2 1 1e-99999999999999999999", "ok 1 0 0x0p+0"},
+      {"real", "2 1 4.9e-324", "ok 1 0 0x0.0000000000001p-1022"},
+      {"real", "2 1 2e-324", "ok 1 0 0x0p+0"},
+      {"real", "2 1 1e-310", "ok 1 0 0x0.012688b70e62bp-1022"},
+      {"real", "2 1 2.2250738585072011e-308", "ok 1 0 0x0.fffffffffffffp-1022"},
+      {"real", "99999999999999999999 1 1.0", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "9223372036854775807 1 1.0", "MatrixMarket: entry out of range (line 3)"},
+      {"real", "-9223372036854775808 1 1.0", "MatrixMarket: entry out of range (line 3)"},
+      {"real", "+2 +1 1.0", "ok 1 0 0x1p+0"},
+      {"real", "-2 1 1.0", "MatrixMarket: entry out of range (line 3)"},
+      {"real", "0002 01 7", "ok 1 0 0x1.cp+2"},
+      {"real", "2.0 1 1.0", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1.5 1.0", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2-1 1.0", "MatrixMarket: entry out of range (line 3)"},
+      {"real", "2+1 1.0", "ok 1 0 0x1p+0"},
+      {"real", "2 1 1.0 junk", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 1.0x", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2 1 1.0-2", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2\t1\t2.5", "ok 1 0 0x1.4p+1"},
+      {"real", "2 1 2.5\r", "ok 1 0 0x1.4p+1"},
+      {"real", "  2   1   2.5   ", "ok 1 0 0x1.4p+1"},
+      {"real", "2\v1\f2.5", "ok 1 0 0x1.4p+1"},
+      {"real", "2 1", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "2", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "x 1 1.0", "MatrixMarket: unparseable entry (line 3)"},
+      {"real", "4 1 1.0", "MatrixMarket: entry out of range (line 3)"},
+      {"real", "2 0 1.0", "MatrixMarket: entry out of range (line 3)"},
+      {"integer", "2 1 3", "ok 1 0 0x1.8p+1"},
+      {"integer", "2 1 3.5", "ok 1 0 0x1.cp+1"},
+      {"integer", "2 1 -7", "ok 1 0 -0x1.cp+2"},
+      {"pattern", "2 1", "ok 1 0 -0x1p+0"},
+      {"pattern", "2 1\r", "ok 1 0 -0x1p+0"},
+      {"pattern", "2 1 3.0", "MatrixMarket: unparseable entry (line 3)"},
+      {"pattern", "+3 -1", "MatrixMarket: entry out of range (line 3)"},
+      {"pattern", "3 1 ", "ok 2 0 -0x1p+0"},
+      {"pattern", "3", "MatrixMarket: unparseable entry (line 3)"},
+  };
+  for (const Case& c : corpus) {
+    EXPECT_EQ(mm_entry_outcome(c.field, c.line), c.outcome)
+        << c.field << " entry line \"" << c.line << "\"";
   }
 }
 
