@@ -3,8 +3,12 @@
 // multiple minimum degree for irregular matrices ("considered the best for
 // most irregular sparse matrices with respect to sequential operation count
 // and fill"). Natural order and RCM are included as baselines, AMD as the
-// modern cheap alternative.
+// modern cheap alternative. Each cell also gives the ordering's wall time,
+// the minimum of three runs.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -28,12 +32,30 @@ spc::i64 fill_of(const spc::SymSparse& a, const std::vector<spc::idx>& perm,
   return spc::factor_nnz(counts);
 }
 
+// Runs `order` three times; returns the last permutation and the fastest
+// run's wall time in milliseconds.
+std::vector<spc::idx> min_of_3(const std::function<std::vector<spc::idx>()>& order,
+                               double* ms) {
+  std::vector<spc::idx> perm;
+  *ms = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    perm = order();
+    const std::chrono::duration<double, std::milli> dt =
+        std::chrono::steady_clock::now() - t0;
+    *ms = std::min(*ms, dt.count());
+  }
+  return perm;
+}
+
 }  // namespace
 
 int main() {
   using namespace spc;
   const SuiteScale scale = suite_scale_from_env();
-  std::printf("Ordering quality: NZ(L) in thousands / ops in Mflops\n");
+  std::printf(
+      "Ordering quality: NZ(L) in thousands / ops in Mflops / ordering time\n"
+      "(min of 3 runs)\n");
   bench::print_scale_banner(scale);
 
   Table t({"Matrix", "natural", "RCM", "AMD", "MMD", "ND (general)", "paper's choice"});
@@ -42,29 +64,25 @@ int main() {
     const Graph g = bm.matrix.pattern();
     t.new_row();
     t.add(bm.name);
-    for (int variant = 0; variant < 5; ++variant) {
-      std::vector<idx> perm;
-      switch (variant) {
-        case 0: perm = identity_permutation(bm.matrix.num_rows()); break;
-        case 1: perm = rcm_order(g); break;
-        case 2: perm = amd_order(g); break;
-        case 3: perm = mmd_order(g); break;
-        case 4: perm = nested_dissection_order(g); break;
-      }
+    const std::function<std::vector<idx>()> orderings[] = {
+        [&] { return identity_permutation(bm.matrix.num_rows()); },
+        [&] { return rcm_order(g); },
+        [&] { return amd_order(g); },
+        [&] { return mmd_order(g); },
+        [&] { return nested_dissection_order(g); },
+        // The ordering the paper prescribes for this matrix class.
+        [&] { return order_bench_matrix(bm); },
+    };
+    for (const auto& order : orderings) {
+      double ms = 0;
+      const std::vector<idx> perm = min_of_3(order, &ms);
       i64 ops = 0;
       const i64 nz = fill_of(bm.matrix, perm, &ops);
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%lldk / %.0fM", static_cast<long long>(nz / 1000),
-                    static_cast<double>(ops) / 1e6);
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), "%lldk / %.0fM / %.1fms",
+                    static_cast<long long>(nz / 1000), static_cast<double>(ops) / 1e6, ms);
       t.add(std::string(buf));
     }
-    // The ordering the paper prescribes for this matrix class.
-    i64 ops = 0;
-    const i64 nz = fill_of(bm.matrix, order_bench_matrix(bm), &ops);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%lldk / %.0fM", static_cast<long long>(nz / 1000),
-                  static_cast<double>(ops) / 1e6);
-    t.add(std::string(buf));
   }
   t.print(std::cout);
   std::printf(

@@ -1,7 +1,10 @@
 #include "graph/matrix_market.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -24,6 +27,53 @@ bool only_blanks_left(std::istream& is) {
   while (is.get(c)) {
     if (!std::isspace(static_cast<unsigned char>(c))) return false;
   }
+  return true;
+}
+
+// Entry fields are parsed straight from the line buffer, accepting exactly
+// what `istream >>` accepts in the C locale (std::isspace blanks, fields may
+// run together as in "2-1"), without building a stream per line.
+const char* skip_blanks(const char* p, const char* end) {
+  while (p != end && std::isspace(static_cast<unsigned char>(*p))) ++p;
+  return p;
+}
+
+// Where from_chars should start on the token at p, or nullptr when it is no
+// number: from_chars takes no '+' but would take "inf"/"nan", while `>>`
+// takes a sign only before a digit or '.'.
+const char* number_start(const char* p, const char* end) {
+  const char* q = p;
+  if (q != end && (*q == '+' || *q == '-')) ++q;
+  if (q == end || !(std::isdigit(static_cast<unsigned char>(*q)) || *q == '.')) {
+    return nullptr;
+  }
+  return *p == '+' ? q : p;
+}
+
+// Each parser skips leading blanks, reads one field and advances p past it;
+// false on a missing, malformed or overflowing field.
+bool parse_field(const char*& p, const char* end, long long& out) {
+  const char* first = number_start(skip_blanks(p, end), end);
+  if (first == nullptr) return false;
+  const auto [next, ec] = std::from_chars(first, end, out);
+  if (ec != std::errc()) return false;
+  p = next;
+  return true;
+}
+
+bool parse_field(const char*& p, const char* end, double& out) {
+  const char* first = number_start(skip_blanks(p, end), end);
+  if (first == nullptr) return false;
+  const auto [next, ec] = std::from_chars(first, end, out);
+  if (ec == std::errc::result_out_of_range) {
+    // `>>` keeps strtod's value on underflow (0 or a subnormal) and rejects
+    // only overflow.
+    out = std::strtod(std::string(first, next).c_str(), nullptr);
+    if (std::isinf(out)) return false;
+  } else if (ec != std::errc()) {
+    return false;
+  }
+  p = next;
   return true;
 }
 
@@ -88,12 +138,13 @@ SymSparse read_matrix_market(std::istream& in, bool* boosted, bool spdize) {
       }
     }
     SPC_CHECK_INPUT(have_entry, "MatrixMarket: truncated entry list", lineno);
-    std::istringstream entry(line);
+    const char* p = line.data();
+    const char* const end = p + line.size();
     long long i = 0, j = 0;
     double v = 1.0;
-    entry >> i >> j;
-    if (!is_pattern) entry >> v;
-    SPC_CHECK_INPUT(!entry.fail() && only_blanks_left(entry),
+    const bool parsed = parse_field(p, end, i) && parse_field(p, end, j) &&
+                        (is_pattern || parse_field(p, end, v));
+    SPC_CHECK_INPUT(parsed && skip_blanks(p, end) == end,
                     "MatrixMarket: unparseable entry", lineno);
     SPC_CHECK_INPUT(i >= 1 && i <= rows && j >= 1 && j <= cols,
                     "MatrixMarket: entry out of range", lineno);

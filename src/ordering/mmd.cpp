@@ -73,6 +73,12 @@ class MmdSolver {
         alive_(static_cast<std::size_t>(n_), true),
         merged_kids_(static_cast<std::size_t>(n_)),
         marker_(static_cast<std::size_t>(n_), 0),
+        anchor_(static_cast<std::size_t>(n_), kNone),
+        new_degree_(static_cast<std::size_t>(n_), 0),
+        seen_(static_cast<std::size_t>(n_), 0),
+        ext_stamp_(static_cast<std::size_t>(n_), 0),
+        ext_begin_(static_cast<std::size_t>(n_), 0),
+        ext_end_(static_cast<std::size_t>(n_), 0),
         blocked_stamp_(static_cast<std::size_t>(n_), 0),
         step_stamp_(1),
         lists_(n_, n_ > 0 ? n_ : 1) {
@@ -128,12 +134,7 @@ class MmdSolver {
     if (opt_.approximate_degree && pivots.size() == 1 && is_element_[pivots[0]]) {
       update_approximate_degrees(pivots[0]);
     } else {
-      for (idx v : affected_) {
-        if (!alive_[v]) continue;
-        const idx d = external_degree(v);
-        if (lists_.contains(v)) lists_.remove(v);
-        lists_.insert(v, d);
-      }
+      update_exact_degrees(pivots);
     }
     unblock_all();
   }
@@ -213,6 +214,7 @@ class MmdSolver {
       } else {
         survivors.push_back(i);
         affected_.push_back(i);
+        anchor_[i] = p;  // a later pivot of this step that also borders i wins
       }
     }
 
@@ -269,14 +271,14 @@ class MmdSolver {
     }
   }
 
-  // Sorts and dedupes v's adjacency lists (lazy cleanup).
+  // Drops dead entries from v's adjacency lists and sorts and dedupes the
+  // element list (lazy cleanup). adj_var_ needs no sort: it starts as a
+  // sorted, duplicate-free Graph row and is only ever filtered in order.
   void compact(idx v) {
     auto& av = adj_var_[v];
     av.erase(std::remove_if(av.begin(), av.end(),
                             [&](idx u) { return !alive_[u]; }),
              av.end());
-    std::sort(av.begin(), av.end());
-    av.erase(std::unique(av.begin(), av.end()), av.end());
     auto& ae = adj_el_[v];
     ae.erase(std::remove_if(ae.begin(), ae.end(),
                             [&](idx e) { return !is_element_[e]; }),
@@ -365,24 +367,66 @@ class MmdSolver {
     }
   }
 
-  // Exact external degree: total size of distinct live neighbors via both
-  // direct edges and element lists, excluding v itself.
-  idx external_degree(idx v) {
-    ++mark_;
-    marker_[v] = mark_;
-    i64 d = 0;
-    auto visit = [&](idx u) {
-      if (alive_[u] && marker_[u] != mark_) {
+  // Exact external degrees of this step's affected variables, anchored on
+  // the new elements (Liu's update). Each survivor i of pivot p = anchor_[i]
+  // lies in Lp, so
+  //   deg(i) = |Lp| - nv_i + |(A_i u U_{e in E_i, e != p} (Le \ Lp))|,
+  // all sizes counting live supervariable weights. Lp is marked and weighed
+  // once per new element, and each Le \ Lp is gathered once per new element
+  // into ext_buf_, so no variable rescans Lp. Degrees go through new_degree_
+  // and are inserted in sorted affected_ order, keeping the bucket order.
+  void update_exact_degrees(const std::vector<idx>& pivots) {
+    for (idx p : pivots) {
+      if (!is_element_[p]) continue;  // mass-eliminated before its turn
+      ++mark_;
+      i64 lp_weight = 0;
+      for (idx u : el_vars_[p]) {
+        if (!alive_[u]) continue;
         marker_[u] = mark_;
-        d += nv_[u];
+        lp_weight += nv_[u];
       }
-    };
-    for (idx u : adj_var_[v]) visit(u);
-    for (idx e : adj_el_[v]) {
-      if (!is_element_[e]) continue;
-      for (idx u : el_vars_[e]) visit(u);
+      ++ext_tick_;
+      ext_buf_.clear();
+      for (idx i : el_vars_[p]) {
+        if (!alive_[i] || anchor_[i] != p) continue;
+        ++seen_tick_;
+        i64 d = lp_weight - nv_[i];
+        for (idx u : adj_var_[i]) {
+          if (alive_[u] && marker_[u] != mark_ && seen_[u] != seen_tick_) {
+            seen_[u] = seen_tick_;
+            d += nv_[u];
+          }
+        }
+        for (idx e : adj_el_[i]) {
+          if (e == p || !is_element_[e]) continue;
+          if (ext_stamp_[e] != ext_tick_) gather_external(e);
+          for (i64 k = ext_begin_[e]; k < ext_end_[e]; ++k) {
+            const idx u = ext_buf_[static_cast<std::size_t>(k)];
+            if (seen_[u] != seen_tick_) {
+              seen_[u] = seen_tick_;
+              d += nv_[u];
+            }
+          }
+        }
+        new_degree_[i] = static_cast<idx>(std::min<i64>(d, n_ - 1));
+      }
     }
-    return static_cast<idx>(std::min<i64>(d, n_ - 1));
+    for (idx v : affected_) {
+      if (!alive_[v]) continue;
+      if (lists_.contains(v)) lists_.remove(v);
+      lists_.insert(v, new_degree_[v]);
+    }
+  }
+
+  // Appends Le \ Lp (live members of element e not marked in the current
+  // new element) to ext_buf_ and records its range.
+  void gather_external(idx e) {
+    ext_stamp_[e] = ext_tick_;
+    ext_begin_[e] = static_cast<i64>(ext_buf_.size());
+    for (idx u : el_vars_[e]) {
+      if (alive_[u] && marker_[u] != mark_) ext_buf_.push_back(u);
+    }
+    ext_end_[e] = static_cast<i64>(ext_buf_.size());
   }
 
   idx n_;
@@ -390,12 +434,21 @@ class MmdSolver {
   std::vector<std::vector<idx>> adj_var_;
   std::vector<std::vector<idx>> adj_el_;
   std::vector<std::vector<idx>> el_vars_;
-  std::vector<bool> is_element_;
+  std::vector<char> is_element_;  // char, not bool: read in every inner loop
   std::vector<idx> nv_;
-  std::vector<bool> alive_;
+  std::vector<char> alive_;       // char, not bool: read in every inner loop
   std::vector<std::vector<idx>> merged_kids_;
   std::vector<idx> marker_;
   idx mark_ = 0;
+  std::vector<idx> anchor_;      // new element each affected variable lies in
+  std::vector<idx> new_degree_;  // exact degrees before list insertion
+  std::vector<i64> seen_;        // per-variable dedup stamp (seen_tick_)
+  i64 seen_tick_ = 0;
+  std::vector<idx> ext_buf_;     // Le \ Lp for the current new element p
+  std::vector<i64> ext_stamp_;   // ext_tick_ when Le \ Lp was gathered
+  std::vector<i64> ext_begin_;
+  std::vector<i64> ext_end_;
+  i64 ext_tick_ = 0;
   std::vector<idx> blocked_stamp_;
   idx step_stamp_ = 0;
   DegreeLists lists_;

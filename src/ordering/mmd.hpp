@@ -9,7 +9,19 @@
 //   * element absorption    — elements reachable from the pivot are merged
 //     into the newly formed element;
 //   * supervariable merging — indistinguishable variables are detected by
-//     hashing after each step and merged.
+//     hashing after each step and merged;
+//   * element-anchored degree update (Liu's GENMMD update) — every variable
+//     a step touches lies in the new element Lp of the pivot it is anchored
+//     on. Lp is marked and weighed once per new element, and each older
+//     element's external part Le \ Lp is gathered once per new element, so
+//     an exact degree costs the variable's own adjacency plus those external
+//     parts, never a rescan of Lp. Degrees, tie-breaking and the ordering
+//     equal those of a full per-variable rescan.
+//
+// Invariant: a variable's list of adjacent variables starts as its sorted,
+// duplicate-free Graph row and is only ever filtered in order, so it stays
+// sorted and duplicate-free without re-sorting (merge detection compares
+// these lists elementwise).
 #pragma once
 
 #include <vector>
