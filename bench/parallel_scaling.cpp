@@ -135,7 +135,7 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
   res.flops = chol.factor_flops_exact();
 
   BlockFactor f;
-  res.serial_s = median_seconds([&] { f = block_factorize(ap, bs); }, reps);
+  res.serial_s = median_seconds([&] { f = block_factorize(ap, bs, tg); }, reps);
   const double residual = factor_residual_probe(ap, f);
 
   std::printf(

@@ -486,9 +486,9 @@ BlockFactor block_factorize_left(const SymSparse& a, const BlockStructure& bs,
 }
 
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
-                            const FactorizeOptions& opt, FactorizeInfo* info) {
+                            const TaskGraph& tg, const FactorizeOptions& opt,
+                            FactorizeInfo* info) {
   if (info != nullptr) info->reset();
-  const TaskGraph tg = build_task_graph(bs);
   BlockFactor f = init_block_factor(a, bs, opt.budget);
   const idx nb = bs.num_block_cols();
 

@@ -175,8 +175,10 @@ void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
 // Error(kNotPositiveDefinite) at the first failing pivot; under kPerturb,
 // boosts failing pivots and reports them through *info (may be null).
 // Right-looking: after completing block column K, all its updates are pushed
-// into later columns (the order the block fan-out method uses).
+// into later columns (the order the block fan-out method uses). `tg` must be
+// build_task_graph(bs).
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
+                            const TaskGraph& tg,
                             const FactorizeOptions& opt = {},
                             FactorizeInfo* info = nullptr);
 

@@ -1,16 +1,13 @@
 #include "factor/parallel_factor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "factor/scheduler.hpp"
+#include "factor/task_run.hpp"
 #include "support/error.hpp"
 #include "support/sync.hpp"
 #include "support/work_queue.hpp"
@@ -18,34 +15,72 @@
 namespace spc {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+constexpr i64 kEmptyList = -1;  // sentinel for the per-destination mod lists
 
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+// --- The one footprint formula -----------------------------------------------
+// ParallelWorkspace charges these pieces where it allocates them (the plan
+// arrays in its constructor, the counters and per-worker scratch in
+// prepare_run); estimate_parallel_factor_bytes sums the same pieces, so the
+// admission estimate cannot drift from the charges.
+
+struct PlanExtents {
+  i64 src_entries = 0;  // mods-by-source CSR entries
+  i64 max_update = 0;   // high-water GEMM result (elements)
+  i64 max_block = 0;    // high-water destination block (elements)
+};
+
+PlanExtents plan_extents(const BlockStructure& bs, const TaskGraph& tg) {
+  PlanExtents x;
+  for (const BlockMod& m : tg.mods) {
+    x.src_entries += m.src_a == m.src_b ? 1 : 2;
+    x.max_update = std::max(
+        x.max_update,
+        static_cast<i64>(tg.rows_of_block[static_cast<std::size_t>(m.src_a)]) *
+            tg.rows_of_block[static_cast<std::size_t>(m.src_b)]);
+  }
+  for (block_id b = 0; b < tg.num_blocks(); ++b) {
+    x.max_block = std::max(
+        x.max_block,
+        static_cast<i64>(tg.rows_of_block[static_cast<std::size_t>(b)]) *
+            bs.part.width(tg.col_of_block[static_cast<std::size_t>(b)]));
+  }
+  return x;
 }
 
-constexpr i64 kEmptyList = -1;  // sentinel for the per-destination mod lists
+// Static per-plan arrays: completion + mod priorities, dest_prio, the src
+// CSR, and the arena offsets.
+i64 plan_bytes(const TaskGraph& tg, i64 src_entries,
+               const BlockArenaLayout& layout) {
+  const i64 num_blocks = tg.num_blocks();
+  const i64 num_mods = static_cast<i64>(tg.mods.size());
+  return (num_blocks + num_mods + num_blocks + (num_blocks + 1) + src_entries +
+          static_cast<i64>(layout.diag_off.size() + layout.entry_off.size())) *
+         static_cast<i64>(sizeof(i64));
+}
+
+// Per-run atomic counters: deps, dest_head, dest_state per block; pending,
+// mod_next per mod.
+i64 counter_bytes(const TaskGraph& tg) {
+  return tg.num_blocks() * static_cast<i64>(2 * sizeof(spc::atomic<i64>) +
+                                            2 * sizeof(spc::atomic<int>)) +
+         static_cast<i64>(tg.mods.size()) *
+             static_cast<i64>(sizeof(spc::atomic<i64>) + sizeof(spc::atomic<int>));
+}
+
+// Per-worker scratch reservation in elements, capped at 32 MiB for safety
+// (a buffer that once grew past the cap keeps its capacity, so even
+// outsized blocks allocate at most once over the workspace lifetime).
+i64 scratch_cap(i64 elems) { return std::min<i64>(elems, i64{1} << 22); }
+
+i64 worker_scratch_bytes(i64 max_update, i64 max_block) {
+  return (scratch_cap(max_update) + scratch_cap(max_block)) *
+         static_cast<i64>(sizeof(double));
+}
 
 }  // namespace
 
 ParallelProfile::Worker ParallelProfile::total() const {
-  Worker t;
-  for (const Worker& w : workers) {
-    t.bfac_s += w.bfac_s;
-    t.bdiv_s += w.bdiv_s;
-    t.bmod_compute_s += w.bmod_compute_s;
-    t.scatter_s += w.scatter_s;
-    t.init_s += w.init_s;
-    t.idle_s += w.idle_s;
-    t.bfacs += w.bfacs;
-    t.bdivs += w.bdivs;
-    t.mods += w.mods;
-    t.batches += w.batches;
-    t.affinity_hits += w.affinity_hits;
-    t.affinity_spills += w.affinity_spills;
-    t.below_frontier_steals += w.below_frontier_steals;
-  }
-  return t;
+  return sum_fields(workers);
 }
 
 ParallelWorkspace::ParallelWorkspace(const BlockStructure& bs_in,
@@ -86,27 +121,12 @@ ParallelWorkspace::ParallelWorkspace(const BlockStructure& bs_in,
   }
 
   // Scratch high-water marks (hoisted here so repeated factorizations of the
-  // same plan never recompute or reallocate them).
-  for (const BlockMod& m : tg_in.mods) {
-    max_update_elems = std::max(
-        max_update_elems,
-        static_cast<i64>(tg_in.rows_of_block[static_cast<std::size_t>(m.src_a)]) *
-            tg_in.rows_of_block[static_cast<std::size_t>(m.src_b)]);
-  }
-  for (block_id b = 0; b < num_blocks; ++b) {
-    max_block_elems = std::max(
-        max_block_elems,
-        static_cast<i64>(tg_in.rows_of_block[static_cast<std::size_t>(b)]) *
-            bs_in.part.width(tg_in.col_of_block[static_cast<std::size_t>(b)]));
-  }
-
-  // Static footprint (charged retroactively when prepare_run first sees a
-  // budget): the per-plan arrays built above.
-  footprint_bytes =
-      static_cast<i64>((prio.completion.size() + prio.mod.size() +
-                        dest_prio.size() + src_ptr.size() + src_mods.size() +
-                        layout.diag_off.size() + layout.entry_off.size()) *
-                       sizeof(i64));
+  // same plan never recompute or reallocate them) and the static footprint,
+  // charged retroactively when prepare_run first sees a budget.
+  const PlanExtents x = plan_extents(bs_in, tg_in);
+  max_update_elems = x.max_update;
+  max_block_elems = x.max_block;
+  footprint_bytes = plan_bytes(tg_in, x.src_entries, layout);
 }
 
 void ParallelWorkspace::prepare_run(
@@ -131,13 +151,9 @@ void ParallelWorkspace::prepare_run(
   const i64 num_blocks = tg->num_blocks();
   const i64 num_mods = static_cast<i64>(tg->mods.size());
   if (!deps) {
-    const i64 counter_bytes =
-        num_blocks * static_cast<i64>(2 * sizeof(spc::atomic<i64>) +
-                                      2 * sizeof(spc::atomic<int>)) +
-        num_mods * static_cast<i64>(sizeof(spc::atomic<i64>) +
-                                    sizeof(spc::atomic<int>));
-    charge.add(counter_bytes, "factorize");  // charge before allocating
-    footprint_bytes += counter_bytes;
+    const i64 counters = counter_bytes(*tg);
+    charge.add(counters, "factorize");  // charge before allocating
+    footprint_bytes += counters;
     deps = std::make_unique<spc::atomic<i64>[]>(static_cast<std::size_t>(num_blocks));
     pending = std::make_unique<spc::atomic<int>[]>(static_cast<std::size_t>(num_mods));
     mod_next = std::make_unique<spc::atomic<i64>[]>(static_cast<std::size_t>(num_mods));
@@ -164,27 +180,19 @@ void ParallelWorkspace::prepare_run(
         std::memory_order_relaxed);
     mod_next[static_cast<std::size_t>(m)].store(kEmptyList, std::memory_order_relaxed);
   }
-  // High-water scratch reservation (capped at 32 MiB for safety; a vector
-  // that once grew past the cap keeps its capacity, so even outsized blocks
-  // allocate at most once over the workspace lifetime).
-  const idx update_cap =
-      static_cast<idx>(std::min<i64>(max_update_elems, i64{1} << 22));
-  const idx accum_cap =
-      static_cast<idx>(std::min<i64>(max_block_elems, i64{1} << 22));
   if (static_cast<int>(scratch.size()) < num_threads) {
     // Per-worker scratch growth is the other big workspace allocation:
     // charge the new workers' reserved buffers before they materialize.
-    const i64 grow = num_threads - static_cast<i64>(scratch.size());
-    const i64 scratch_bytes =
-        grow * (static_cast<i64>(update_cap) + accum_cap) *
-        static_cast<i64>(sizeof(double));
-    charge.add(scratch_bytes, "factorize");
-    footprint_bytes += scratch_bytes;
+    const i64 grow_bytes = (num_threads - static_cast<i64>(scratch.size())) *
+                           worker_scratch_bytes(max_update_elems, max_block_elems);
+    charge.add(grow_bytes, "factorize");
+    footprint_bytes += grow_bytes;
     scratch.resize(static_cast<std::size_t>(num_threads));
   }
+  // High-water scratch reservation.
   for (WorkerScratch& s : scratch) {
-    s.update.reserve(update_cap, 1);
-    s.accum.reserve(accum_cap, 1);
+    s.update.reserve(static_cast<idx>(scratch_cap(max_update_elems)), 1);
+    s.accum.reserve(static_cast<idx>(scratch_cap(max_block_elems)), 1);
   }
 }
 
@@ -214,14 +222,12 @@ class WorkStealingExecutor {
         bs_(bs),
         tg_(tg),
         ws_(ws),
-        threads_(num_threads),
+        run_(num_threads, cancel, deadline, "factorize",
+             "factorization cancelled"),
         affinity_(affinity),
         queues_(num_threads),
-        barrier_remaining_(num_threads),
         prof_(prof),
-        pivots_(pivots),
-        cancel_(cancel),
-        deadline_(deadline) {
+        pivots_(pivots) {
     SPC_CHECK(ws.bs == &bs && ws.tg == &tg,
               "block_factorize_parallel: workspace built for another plan");
     ws_.prepare_run(num_threads, affinity, budget);
@@ -235,26 +241,18 @@ class WorkStealingExecutor {
   }
 
   BlockFactor run() {
-    const auto t0 = Clock::now();
+    const auto t0 = TaskClock::now();
     seed_initial_tasks();
     if (tg_.num_blocks() == 0) queues_.shutdown();  // nothing will ever fire
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads_));
-    for (int t = 0; t < threads_; ++t) {
-      workers.emplace_back([this, t] { worker(t); });
-    }
-    for (std::thread& w : workers) w.join();
-    rethrow_if_failed();
+    run_.run([this](int id) { worker(id); });
     SPC_CHECK(completed_.load() == tg_.num_blocks(),
               "block_factorize_parallel: not all blocks completed");
     if (prof_) {
-      prof_->wall_s = secs_since(t0);
+      prof_->wall_s = seconds_since(t0);
       prof_->steals = queues_.steals();
     }
     return std::move(factor_);
   }
-
-  const FailureSlot& failure() const { return slot_; }
 
  private:
   i64 task_priority(i64 task) const {
@@ -274,6 +272,8 @@ class WorkStealingExecutor {
         tg_.col_of_block[static_cast<std::size_t>(b)])];
   }
 
+  // Deals the initially ready completions before the workers spawn: pinned
+  // tasks straight to their owner's private stack, shared ones round-robin.
   void seed_initial_tasks() {
     std::vector<i64> ready;
     for (block_id b = 0; b < tg_.num_blocks(); ++b) {
@@ -283,23 +283,7 @@ class WorkStealingExecutor {
         ready.push_back(b);
       }
     }
-    // Deal in ascending priority so every deque (and private stack) ends
-    // with its most critical task on top (workers pop LIFO). Safe before the
-    // workers spawn. Pinned tasks go straight to their owner's private
-    // stack; shared ones are dealt round-robin over the public deques.
-    std::sort(ready.begin(), ready.end(), [this](i64 x, i64 y) {
-      return task_priority(x) < task_priority(y);
-    });
-    std::size_t shared = 0;
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      const WorkItem item{ready[i], task_priority(ready[i])};
-      const int o = task_owner(ready[i]);
-      if (o >= 0) {
-        queues_.push_private(o, item);
-      } else {
-        queues_.push(static_cast<int>(shared++) % threads_, item);
-      }
-    }
+    push_ready(kSeeding, ready);
   }
 
   void worker(int id) {
@@ -313,7 +297,7 @@ class WorkStealingExecutor {
     // their ordinal, which reduces to the pre-affinity j % threads deal when
     // affinity is off.
     {
-      const auto t0 = pw ? Clock::now() : Clock::time_point{};
+      const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
       try {
         idx shared = 0;
         for (idx j = 0; j < bs_.num_block_cols(); ++j) {
@@ -322,17 +306,18 @@ class WorkStealingExecutor {
                             : AffinityPartition::kShared;
           const bool mine =
               o >= 0 ? o == id
-                     : static_cast<int>(shared % threads_) == id;
+                     : static_cast<int>(shared % run_.threads()) == id;
           if (o < 0) ++shared;
           if (mine) init_block_column(a_, bs_, j, factor_);
         }
       } catch (...) {
-        fail(std::current_exception(), static_cast<i64>(id),
-             FailureSlot::Phase::kInit);
+        run_.fail(std::current_exception(), static_cast<i64>(id),
+                  FailureSlot::Phase::kInit);
       }
-      if (pw) pw->init_s += secs_since(t0);
+      if (pw) pw->init_s += seconds_since(t0);
     }
-    barrier_arrive();
+    // Every block must be scattered before any BFAC can run.
+    run_.barrier();
     // After a failure the loop keeps running: remaining tasks drain as
     // no-ops (run_completion / run_dest skip the numeric work but still
     // perform every counter decrement), so the DAG terminates through the
@@ -340,74 +325,23 @@ class WorkStealingExecutor {
     // left fully consumed — ready for the next prepare_run.
     ParallelWorkspace::WorkerScratch& s =
         ws_.scratch[static_cast<std::size_t>(id)];
-    // Per-worker amortized deadline polling: a clock read only every few
-    // tasks when far from expiry, every task inside the near window, so
-    // overshoot is bounded by one task's duration.
-    governor::DeadlinePoller deadline_poll(deadline_);
-    WorkItem item;
-    for (;;) {
-      // relaxed polls: cancellation is advisory — a worker that misses the
-      // flag for one iteration just runs one more task; fail() below does
-      // the synchronized first-failure recording.
-      if (cancel_ != nullptr &&
-          !cancelled_.load(std::memory_order_relaxed) &&
-          cancel_->load(std::memory_order_relaxed)) {
-        fail(std::make_exception_ptr(
-                 Error("factorization cancelled", ErrorKind::kCancelled)),
-             -1, FailureSlot::Phase::kCancel);
-      }
-      // A deadline breach tears down exactly like cancellation: record the
-      // failure, then keep draining the DAG as no-ops. (relaxed guard: same
-      // advisory pattern as the cancel poll above.)
-      if (deadline_ != nullptr &&
-          !cancelled_.load(std::memory_order_relaxed)) {
-        try {
-          deadline_poll.poll("factorize");
-        } catch (...) {
-          fail(std::current_exception(), -1, FailureSlot::Phase::kCancel);
-        }
-      }
-      const auto ti = pw ? Clock::now() : Clock::time_point{};
-      AcquireSource src = AcquireSource::kOwn;
-      const bool got = queues_.acquire(id, item, &src);
-      if (pw) {
-        pw->idle_s += secs_since(ti);
-        if (got) {
-          if (src == AcquireSource::kPrivate) ++pw->affinity_hits;
-          // A stolen task with an owner is a spilled pinned task crossing
-          // the frontier — the structural argument says this stays 0.
-          if (src == AcquireSource::kSteal && task_owner(item.id) >= 0) {
-            ++pw->below_frontier_steals;
-          }
-        }
-      }
-      if (!got) break;
-      try {
-        if (item.id < tg_.num_blocks()) {
-          run_completion(id, item.id, pw);
-        } else {
-          run_dest(id, item.id - tg_.num_blocks(), s, pw);
-        }
-      } catch (...) {
-        // Bookkeeping itself threw (never expected): the drain protocol is
-        // broken, so force the queues down to guarantee the join.
-        fail(std::current_exception(), item.id, FailureSlot::Phase::kDrain);
-        queues_.shutdown();
-        return;
-      }
-    }
-  }
-
-  // One-shot barrier between the init phase and the task phase: every block
-  // must be scattered before any BFAC can run.
-  void barrier_arrive() {
-    LockGuard lock(barrier_mutex_);
-    --barrier_remaining_;
-    if (barrier_remaining_ == 0) {
-      barrier_cv_.notify_all();
-    } else {
-      while (barrier_remaining_ > 0) barrier_cv_.wait(barrier_mutex_);
-    }
+    run_.drain(queues_, id, pw ? &pw->idle_s : nullptr,
+               [&](const WorkItem& item, AcquireSource src) {
+                 if (pw) {
+                   if (src == AcquireSource::kPrivate) ++pw->affinity_hits;
+                   // A stolen task with an owner is a spilled pinned task
+                   // crossing the frontier — the structural argument says
+                   // this stays 0.
+                   if (src == AcquireSource::kSteal && task_owner(item.id) >= 0) {
+                     ++pw->below_frontier_steals;
+                   }
+                 }
+                 if (item.id < tg_.num_blocks()) {
+                   run_completion(id, item.id, pw);
+                 } else {
+                   run_dest(id, item.id - tg_.num_blocks(), s, pw);
+                 }
+               });
   }
 
   void run_completion(int id, block_id b, ParallelProfile::Worker* pw) {
@@ -415,19 +349,19 @@ class WorkStealingExecutor {
     // whether it succeeds, throws (recorded, cancels the run), or is skipped
     // because the run is already cancelled, every dependent counter is still
     // decremented so the DAG drains to completion.
-    if (!cancelled_.load(std::memory_order_acquire)) {
-      const auto t0 = pw ? Clock::now() : Clock::time_point{};
+    if (!run_.cancelled()) {
+      const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
       try {
         complete_block(bs_, b, factor_, pivots_);
       } catch (...) {
-        fail(std::current_exception(), b, FailureSlot::Phase::kCompletion);
+        run_.fail(std::current_exception(), b, FailureSlot::Phase::kCompletion);
       }
       if (pw) {
         if (is_diag_block(bs_, b)) {
-          pw->bfac_s += secs_since(t0);
+          pw->bfac_s += seconds_since(t0);
           ++pw->bfacs;
         } else {
-          pw->bdiv_s += secs_since(t0);
+          pw->bdiv_s += seconds_since(t0);
           ++pw->bdivs;
         }
       }
@@ -514,42 +448,42 @@ class WorkStealingExecutor {
         // must see every released mod exactly once), but *computed* only
         // while the run is live.
         try {
-          if (cancelled_.load(std::memory_order_acquire)) {
+          if (run_.cancelled()) {
             // drained as a no-op
           } else if (cnt == 1) {
             compute_mod(chain, s, pw);
-            const auto t0 = pw ? Clock::now() : Clock::time_point{};
+            const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
             {
               LockGuard lock(ws_.locks.for_block(d));
               scatter_block_mod(bs_, tg_,
                                 tg_.mods[static_cast<std::size_t>(chain)],
                                 s.update, s.rel_rows, dest);
             }
-            if (pw) pw->scatter_s += secs_since(t0);
+            if (pw) pw->scatter_s += seconds_since(t0);
           } else {
-            const auto tz = pw ? Clock::now() : Clock::time_point{};
+            const auto tz = pw ? TaskClock::now() : TaskClock::time_point{};
             s.accum.resize_for_overwrite(dest.rows(), dest.cols());
             s.accum.set_zero();
-            if (pw) pw->scatter_s += secs_since(tz);
+            if (pw) pw->scatter_s += seconds_since(tz);
             for (i64 m = chain; m != kEmptyList;
                  m = ws_.mod_next[static_cast<std::size_t>(m)].load(
                      std::memory_order_relaxed)) {
               compute_mod(m, s, pw);
-              const auto t0 = pw ? Clock::now() : Clock::time_point{};
+              const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
               scatter_block_mod(bs_, tg_, tg_.mods[static_cast<std::size_t>(m)],
                                 s.update, s.rel_rows, s.accum);
-              if (pw) pw->scatter_s += secs_since(t0);
+              if (pw) pw->scatter_s += seconds_since(t0);
             }
-            const auto t1 = pw ? Clock::now() : Clock::time_point{};
+            const auto t1 = pw ? TaskClock::now() : TaskClock::time_point{};
             {
               LockGuard lock(ws_.locks.for_block(d));
               apply_accum(dest, s.accum, diag);
             }
-            if (pw) pw->scatter_s += secs_since(t1);
+            if (pw) pw->scatter_s += seconds_since(t1);
           }
         } catch (...) {
-          fail(std::current_exception(), tg_.num_blocks() + d,
-               FailureSlot::Phase::kDrain);
+          run_.fail(std::current_exception(), tg_.num_blocks() + d,
+                    FailureSlot::Phase::kDrain);
         }
         processed += cnt;
         if (pw) {
@@ -589,9 +523,9 @@ class WorkStealingExecutor {
     const idx nb = bs_.num_block_cols();
     const DenseMatrix& li = factor_.offdiag[static_cast<std::size_t>(mod.src_a - nb)];
     const DenseMatrix& lj = factor_.offdiag[static_cast<std::size_t>(mod.src_b - nb)];
-    const auto t0 = pw ? Clock::now() : Clock::time_point{};
+    const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
     compute_block_mod(bs_, mod, li, lj, s.update, s.rel_rows);
-    if (pw) pw->bmod_compute_s += secs_since(t0);
+    if (pw) pw->bmod_compute_s += seconds_since(t0);
   }
 
   // dest += accum, shapes identical; lower triangle only for diagonal
@@ -614,48 +548,22 @@ class WorkStealingExecutor {
     }
   }
 
-  // Routes a ready batch: tasks pinned to this worker go onto its private
-  // stack (thieves never see them — the frontier steal exclusion), shared
-  // tasks onto its public deque. A pinned task released by a NON-owner can
-  // only reach another worker's work through a public deque — push() is
-  // owner-only at runtime, so the task spills to the releaser's own public
-  // deque and is counted. Structurally this does not happen (a below-
-  // frontier task's sources live in the same subtree, so its releaser is its
-  // owner); the spill path keeps the protocol correct even if a pinned task
-  // leaks out via a stolen spill.
+  // Routes a ready batch from worker `id` (or kSeeding): tasks pinned to
+  // this worker go onto its private stack (thieves never see them — the
+  // frontier steal exclusion), shared tasks onto its public deque. A pinned
+  // task released by a NON-owner can only reach another worker's work
+  // through a public deque — push() is owner-only at runtime, so the task
+  // spills to the releaser's own public deque and is counted. Structurally
+  // this does not happen (a below-frontier task's sources live in the same
+  // subtree, so its releaser is its owner); the spill path keeps the
+  // protocol correct even if a pinned task leaks out via a stolen spill.
   void push_ready(int id, std::vector<i64>& buf) {
-    if (buf.empty()) return;
-    std::sort(buf.begin(), buf.end(), [this](i64 x, i64 y) {
-      return task_priority(x) < task_priority(y);
-    });
-    ParallelProfile::Worker* pw =
-        prof_ ? &prof_->workers[static_cast<std::size_t>(id)] : nullptr;
-    for (i64 task : buf) {
-      const WorkItem item{task, task_priority(task)};
-      const int o = task_owner(task);
-      if (o == id) {
-        queues_.push_private(id, item);
-      } else {
-        if (pw && o >= 0) ++pw->affinity_spills;
-        queues_.push(id, item);
-      }
+    const i64 spills =
+        deal(queues_, id, buf, [this](i64 t) { return task_priority(t); },
+             [this](i64 t) { return task_owner(t); });
+    if (prof_ != nullptr && spills > 0) {
+      prof_->workers[static_cast<std::size_t>(id)].affinity_spills += spills;
     }
-    buf.clear();
-  }
-
-  // Records the failure (first one wins, later ones are only counted) and
-  // flips the run into drain mode. Deliberately does NOT shut the queues
-  // down: the outstanding tasks drain as no-ops through the normal
-  // completion protocol, which is what leaves the workspace reusable.
-  void fail(std::exception_ptr e, i64 task, FailureSlot::Phase phase) {
-    slot_.record(std::move(e), task, phase);
-    cancelled_.store(true, std::memory_order_release);
-  }
-
-  // Called after the workers joined; the join established the happens-before
-  // for the slot payload.
-  void rethrow_if_failed() {
-    if (std::exception_ptr e = slot_.first()) std::rethrow_exception(e);
   }
 
   const SymSparse& a_;
@@ -663,59 +571,13 @@ class WorkStealingExecutor {
   const TaskGraph& tg_;
   ParallelWorkspace& ws_;
   BlockFactor factor_;
-  int threads_;
+  TaskRun run_;
   bool affinity_;
   WorkStealingQueues queues_;
-  Mutex barrier_mutex_;
-  CondVar barrier_cv_;
-  int barrier_remaining_ SPC_GUARDED_BY(barrier_mutex_);
   ParallelProfile* prof_;
   PivotEnv* pivots_;
-  const spc::atomic<bool>* cancel_;
-  const governor::Deadline* deadline_;
-  FailureSlot slot_;
-  spc::atomic<bool> cancelled_{false};
   spc::atomic<i64> completed_{0};
 };
-
-void dump_profile_json(const ParallelProfile& p) {
-  const char* out_path = std::getenv("SPC_PROFILE_OUT");
-  std::FILE* f = out_path ? std::fopen(out_path, "w") : stderr;
-  if (!f) f = stderr;
-  const ParallelProfile::Worker t = p.total();
-  std::fprintf(f,
-               "{\"profile\": \"parallel_factor\", \"threads\": %d, "
-               "\"wall_s\": %.6f, \"steals\": %lld, \"affinity\": \"%s\",\n",
-               static_cast<int>(p.workers.size()), p.wall_s,
-               static_cast<long long>(p.steals),
-               p.affinity ? "subtree" : "none");
-  auto worker_fields = [&](const ParallelProfile::Worker& w) {
-    std::fprintf(f,
-                 "\"init_s\": %.6f, \"bfac_s\": %.6f, \"bdiv_s\": %.6f, "
-                 "\"bmod_compute_s\": %.6f, \"scatter_s\": %.6f, "
-                 "\"idle_s\": %.6f, \"bfacs\": %lld, \"bdivs\": %lld, "
-                 "\"mods\": %lld, \"batches\": %lld, "
-                 "\"affinity_hits\": %lld, \"affinity_spills\": %lld, "
-                 "\"below_frontier_steals\": %lld",
-                 w.init_s, w.bfac_s, w.bdiv_s, w.bmod_compute_s, w.scatter_s,
-                 w.idle_s, static_cast<long long>(w.bfacs),
-                 static_cast<long long>(w.bdivs), static_cast<long long>(w.mods),
-                 static_cast<long long>(w.batches),
-                 static_cast<long long>(w.affinity_hits),
-                 static_cast<long long>(w.affinity_spills),
-                 static_cast<long long>(w.below_frontier_steals));
-  };
-  std::fprintf(f, " \"total\": {");
-  worker_fields(t);
-  std::fprintf(f, "},\n \"workers\": [\n");
-  for (std::size_t i = 0; i < p.workers.size(); ++i) {
-    std::fprintf(f, "  {");
-    worker_fields(p.workers[i]);
-    std::fprintf(f, "}%s\n", i + 1 < p.workers.size() ? "," : "");
-  }
-  std::fprintf(f, " ]}\n");
-  if (out_path && f != stderr) std::fclose(f);
-}
 
 }  // namespace
 
@@ -723,11 +585,7 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
                                      const TaskGraph& tg,
                                      const ParallelFactorOptions& opt,
                                      ParallelWorkspace* ws) {
-  int threads = opt.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
+  const int threads = resolve_threads(opt.num_threads);
   if (opt.info != nullptr) opt.info->reset();
   // Pivots run in deferred (continue) mode: a strict-policy
   // breakdown boosts the failing pivot, records the minimal failing column,
@@ -744,12 +602,10 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
     local = std::make_unique<ParallelWorkspace>(bs, tg);
     ws = local.get();
   }
+  const bool env_dump = profile_requested();
   ParallelProfile env_profile;
-  ParallelProfile* prof = opt.profile;
-  const char* env = std::getenv("SPC_PROFILE");
-  const bool env_dump = env != nullptr && env[0] != '\0' &&
-                        !(env[0] == '0' && env[1] == '\0');
-  if (env_dump && prof == nullptr) prof = &env_profile;
+  ParallelProfile* prof =
+      opt.profile != nullptr ? opt.profile : env_dump ? &env_profile : nullptr;
   WorkStealingExecutor exec(
       a, bs, tg, threads, *ws, prof, &pivots, opt.cancel,
       opt.affinity == ParallelFactorOptions::Affinity::kSubtree, opt.budget,
@@ -761,7 +617,16 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
     pivots.export_info(opt.info);
     throw;
   }
-  if (env_dump && prof != nullptr) dump_profile_json(*prof);
+  if (env_dump) {
+    write_profile(prof->workers, [prof](std::FILE* out) {
+      std::fprintf(out,
+                   "\"parallel_factor\", \"threads\": %d, \"wall_s\": %.6f, "
+                   "\"steals\": %lld, \"affinity\": \"%s\"",
+                   static_cast<int>(prof->workers.size()), prof->wall_s,
+                   static_cast<long long>(prof->steals),
+                   prof->affinity ? "subtree" : "none");
+    });
+  }
   pivots.export_info(opt.info);
   if (pivots.has_breakdown()) pivots.throw_breakdown();
   return f;
@@ -769,49 +634,12 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
 
 i64 estimate_parallel_factor_bytes(const BlockStructure& bs, const TaskGraph& tg,
                                    int num_threads) {
-  int threads = num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
   const BlockArenaLayout layout = compute_block_arena_layout(bs);
-  const i64 num_blocks = tg.num_blocks();
-  const i64 num_mods = static_cast<i64>(tg.mods.size());
-  // Mirror of ParallelWorkspace's governed accounting (constructor +
-  // prepare_run): the static per-plan arrays, the per-run counters, and the
-  // reserved per-worker scratch. The peak-accounting test pins this mirror
-  // against the budget's measured peak.
-  i64 src_entries = 0;
-  i64 max_update = 0;
-  for (const BlockMod& m : tg.mods) {
-    src_entries += m.src_a == m.src_b ? 1 : 2;
-    max_update = std::max(
-        max_update,
-        static_cast<i64>(tg.rows_of_block[static_cast<std::size_t>(m.src_a)]) *
-            tg.rows_of_block[static_cast<std::size_t>(m.src_b)]);
-  }
-  i64 max_block = 0;
-  for (i64 b = 0; b < num_blocks; ++b) {
-    max_block = std::max(
-        max_block,
-        static_cast<i64>(tg.rows_of_block[static_cast<std::size_t>(b)]) *
-            bs.part.width(tg.col_of_block[static_cast<std::size_t>(b)]));
-  }
-  const i64 update_cap = std::min<i64>(max_update, i64{1} << 22);
-  const i64 accum_cap = std::min<i64>(max_block, i64{1} << 22);
-  i64 bytes = layout.total * static_cast<i64>(sizeof(double));  // factor arena
-  bytes += static_cast<i64>(layout.diag_off.size() + layout.entry_off.size() +
-                            // completion + mod priorities, dest_prio, src CSR
-                            num_blocks + num_mods + num_blocks +
-                            (num_blocks + 1) + src_entries) *
-           static_cast<i64>(sizeof(i64));
-  bytes += num_blocks * static_cast<i64>(2 * sizeof(spc::atomic<i64>) +
-                                         2 * sizeof(spc::atomic<int>)) +
-           num_mods * static_cast<i64>(sizeof(spc::atomic<i64>) +
-                                       sizeof(spc::atomic<int>));
-  bytes += static_cast<i64>(threads) * (update_cap + accum_cap) *
-           static_cast<i64>(sizeof(double));
-  return bytes;
+  const PlanExtents x = plan_extents(bs, tg);
+  return layout.total * static_cast<i64>(sizeof(double)) +  // factor arena
+         plan_bytes(tg, x.src_entries, layout) + counter_bytes(tg) +
+         resolve_threads(num_threads) *
+             worker_scratch_bytes(x.max_update, x.max_block);
 }
 
 }  // namespace spc

@@ -1,12 +1,13 @@
 // Shared-memory parallel block fan-out factorization.
 //
 // This executes the same BFAC/BDIV/BMOD task graph as the sequential
-// factorization and the Paragon simulator, but with real std::thread workers
-// and the data-driven readiness protocol of §2.3: a block operation becomes
-// ready when its sources are complete; updates into one destination block
-// serialize on that block's mutex; a block's completion op (BFAC or BDIV)
-// fires when its last modification lands (plus, for off-diagonal blocks, its
-// factored diagonal block).
+// factorization and the Paragon simulator, but with real worker threads (the
+// task runtime of factor/task_run.hpp) and the data-driven readiness
+// protocol of §2.3: a block operation becomes ready when its sources are
+// complete; updates into one destination block serialize on that block's
+// mutex; a block's completion op (BFAC or BDIV) fires when its last
+// modification lands (plus, for off-diagonal blocks, its factored diagonal
+// block).
 //
 // The scheduler resolves dependencies lock-free over per-worker Chase–Lev
 // deques (support/work_queue.hpp): the last atomic decrement of a task's
@@ -38,49 +39,6 @@
 
 namespace spc {
 
-// First-failure record for a parallel run. The first worker to fail claims
-// the slot with a single CAS and stores its exception together with the
-// failing task id and phase; later failures never clobber it — they are
-// only counted. After the workers have joined, first() returns the winning
-// exception (joining establishes the happens-before for the payload).
-class FailureSlot {
- public:
-  enum class Phase { kInit, kCompletion, kDrain, kCancel };
-
-  // Returns true when this call recorded the first failure.
-  bool record(std::exception_ptr e, i64 task, Phase phase) {
-    int expected = 0;
-    if (!state_.compare_exchange_strong(expected, 1,
-                                        std::memory_order_acq_rel)) {
-      // relaxed: pure count of losing racers, read after the workers join.
-      later_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    error_ = std::move(e);
-    task_ = task;
-    phase_ = phase;
-    state_.store(2, std::memory_order_release);
-    return true;
-  }
-
-  bool failed() const { return state_.load(std::memory_order_acquire) != 0; }
-  i64 later_failures() const { return later_.load(std::memory_order_relaxed); }
-
-  // The recorded failure; call only after the failing threads joined.
-  std::exception_ptr first() const {
-    return state_.load(std::memory_order_acquire) == 2 ? error_ : nullptr;
-  }
-  i64 task() const { return task_; }
-  Phase phase() const { return phase_; }
-
- private:
-  spc::atomic<int> state_{0};  // 0 = empty, 1 = claiming, 2 = recorded
-  spc::atomic<i64> later_{0};
-  std::exception_ptr error_;
-  i64 task_ = -1;
-  Phase phase_ = Phase::kInit;
-};
-
 // Per-worker phase breakdown of one parallel factorization. Filled when
 // ParallelFactorOptions::profile is set, or collected and dumped as JSON to
 // stderr (or $SPC_PROFILE_OUT) when the environment sets SPC_PROFILE=1.
@@ -99,6 +57,25 @@ struct ParallelProfile {
                                // to the releaser's public deque instead)
     i64 below_frontier_steals = 0;  // steals that claimed a pinned (spilled)
                                     // task — 0 unless spills happened
+
+    // The field list (factor/task_run.hpp): drives total() and the
+    // SPC_PROFILE JSON, in this order.
+    template <class F>
+    static void fields(F&& f) {
+      f("init_s", &Worker::init_s);
+      f("bfac_s", &Worker::bfac_s);
+      f("bdiv_s", &Worker::bdiv_s);
+      f("bmod_compute_s", &Worker::bmod_compute_s);
+      f("scatter_s", &Worker::scatter_s);
+      f("idle_s", &Worker::idle_s);
+      f("bfacs", &Worker::bfacs);
+      f("bdivs", &Worker::bdivs);
+      f("mods", &Worker::mods);
+      f("batches", &Worker::batches);
+      f("affinity_hits", &Worker::affinity_hits);
+      f("affinity_spills", &Worker::affinity_spills);
+      f("below_frontier_steals", &Worker::below_frontier_steals);
+    }
   };
   std::vector<Worker> workers;
   double wall_s = 0;
@@ -180,7 +157,7 @@ struct ParallelWorkspace {
 };
 
 struct ParallelFactorOptions {
-  int num_threads = 0;  // 0 = std::thread::hardware_concurrency()
+  int num_threads = 0;  // 0 = hardware concurrency (resolve_threads)
 
   // Task placement. kSubtree (default) pins
   // the bottom of the elimination tree to workers via

@@ -1,15 +1,12 @@
 #include "factor/parallel_solve.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <thread>
 
 #include "factor/block_solve.hpp"
-#include "factor/parallel_factor.hpp"  // FailureSlot
+#include "factor/task_run.hpp"
 #include "linalg/kernels.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -18,12 +15,6 @@
 
 namespace spc {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // Per-RHS-column flop cost of one column task, the unit of the critical-path
 // priorities: the diagonal TRSM plus this task's entry GEMMs. Forward and
@@ -35,16 +26,7 @@ i64 gemm_cost(idx cnt, idx w) { return 2 * static_cast<i64>(cnt) * w; }
 }  // namespace
 
 SolveProfile::Worker SolveProfile::total() const {
-  Worker t;
-  for (const Worker& w : workers) {
-    t.forward_s += w.forward_s;
-    t.backward_s += w.backward_s;
-    t.scatter_s += w.scatter_s;
-    t.idle_s += w.idle_s;
-    t.cols += w.cols;
-    t.updates += w.updates;
-  }
-  return t;
+  return sum_fields(workers);
 }
 
 SolveWorkspace::SolveWorkspace(const BlockStructure& bs_in) : bs(&bs_in) {
@@ -74,8 +56,6 @@ SolveWorkspace::SolveWorkspace(const BlockStructure& bs_in) : bs(&bs_in) {
 
   fwd_prio.assign(static_cast<std::size_t>(nb), 0);
   bwd_prio.assign(static_cast<std::size_t>(nb), 0);
-  fwd_level.assign(static_cast<std::size_t>(nb), 0);
-  bwd_level.assign(static_cast<std::size_t>(nb), 0);
 
   // Forward critical path: column J's edges point at blkrow[e] > J, so a
   // descending pass sees every successor's height first. A column's cost is
@@ -89,18 +69,6 @@ SolveWorkspace::SolveWorkspace(const BlockStructure& bs_in) : bs(&bs_in) {
       max_entry_rows = std::max<i64>(max_entry_rows, bs_in.blkcnt[e]);
     }
     fwd_prio[static_cast<std::size_t>(j)] = cost + succ;
-  }
-  // Forward level sets (DAG depth), ascending: a column is one deeper than
-  // its deepest in-edge source.
-  for (idx j = 0; j < nb; ++j) {
-    idx lvl = 0;
-    for (i64 t = row_ptr[static_cast<std::size_t>(j)];
-         t < row_ptr[static_cast<std::size_t>(j) + 1]; ++t) {
-      const idx src = col_of_entry[static_cast<std::size_t>(row_entries[static_cast<std::size_t>(t)])];
-      lvl = std::max(lvl, fwd_level[static_cast<std::size_t>(src)] + 1);
-    }
-    fwd_level[static_cast<std::size_t>(j)] = lvl;
-    fwd_levels = std::max(fwd_levels, lvl + 1);
   }
 
   // Backward critical path: task I's edges point at the owning columns of
@@ -118,17 +86,6 @@ SolveWorkspace::SolveWorkspace(const BlockStructure& bs_in) : bs(&bs_in) {
     }
     bwd_prio[static_cast<std::size_t>(i)] = cost + succ;
   }
-  // Backward level sets, descending: column K waits on blkrow[e] > K for
-  // each of its own entries.
-  for (idx k = nb - 1; k >= 0; --k) {
-    idx lvl = 0;
-    for (i64 e = bs_in.blkptr[k]; e < bs_in.blkptr[k + 1]; ++e) {
-      lvl = std::max(lvl, bwd_level[static_cast<std::size_t>(bs_in.blkrow[e])] + 1);
-    }
-    bwd_level[static_cast<std::size_t>(k)] = lvl;
-    bwd_levels = std::max(bwd_levels, lvl + 1);
-  }
-  if (nb == 0) fwd_levels = bwd_levels = 0;
 }
 
 void SolveWorkspace::bind_budget(
@@ -282,7 +239,7 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
     prof->nrhs = static_cast<int>(nrhs);
     pw = &prof->workers[0];
   }
-  const auto t0 = Clock::now();
+  const auto t0 = TaskClock::now();
   for (idx k = 0; k < nb; ++k) {
     check_cancel(opt.cancel);
     // Per-column deadline check: one clock read per block column.
@@ -308,8 +265,8 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
     }
     if (pw) ++pw->cols;
   }
-  if (pw) pw->forward_s = secs_since(t0);
-  const auto t1 = Clock::now();
+  if (pw) pw->forward_s = seconds_since(t0);
+  const auto t1 = TaskClock::now();
   for (idx k = nb - 1; k >= 0; --k) {
     check_cancel(opt.cancel);
     governor::Deadline::check(opt.deadline, "solve");
@@ -334,8 +291,8 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
                      x + first, n);
     if (pw) ++pw->cols;
   }
-  if (pw) pw->backward_s = secs_since(t1);
-  if (prof != nullptr) prof->wall_s = secs_since(t0);
+  if (pw) pw->backward_s = seconds_since(t1);
+  if (prof != nullptr) prof->wall_s = seconds_since(t0);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,9 +312,10 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
 // gathers its entries' RHS rows, applies L_e^T, and accumulates into the
 // owning columns' row ranges.
 //
-// Failure semantics are parallel_factor.cpp's: first failure flips
-// cancelled_, numerics are skipped but every counter decrement still runs,
-// both sweeps drain, workers join, the first failure is rethrown.
+// Failure semantics are the runtime's (factor/task_run.hpp): the first
+// failure flips the run into drain mode, numerics are skipped but every
+// counter decrement still runs, both sweeps drain, workers join, the first
+// failure is rethrown.
 // ---------------------------------------------------------------------------
 class SolveExecutor {
  public:
@@ -373,13 +331,10 @@ class SolveExecutor {
         n_(bs_.part.num_cols()),
         nb_(bs_.num_block_cols()),
         nrhs_(nrhs),
-        threads_(threads),
+        run_(threads, cancel, deadline, "solve", "solve cancelled"),
         fwd_queues_(threads),
         bwd_queues_(threads),
-        barrier_remaining_(threads),
-        prof_(prof),
-        cancel_(cancel),
-        deadline_(deadline) {
+        prof_(prof) {
     ws_.prepare_run(threads, nrhs, budget);
     if (prof_ != nullptr) {
       prof_->workers.assign(static_cast<std::size_t>(threads), {});
@@ -388,7 +343,7 @@ class SolveExecutor {
   }
 
   void run() {
-    const auto t0 = Clock::now();
+    const auto t0 = TaskClock::now();
     // Until the run completes cleanly, the accumulators must be treated as
     // dirty (a failure can strand partial sums in them).
     ws_.accum_dirty = true;
@@ -398,23 +353,24 @@ class SolveExecutor {
     } else {
       seed_forward();
     }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads_));
-    for (int t = 0; t < threads_; ++t) {
-      workers.emplace_back([this, t] { worker(t); });
-    }
-    for (std::thread& t : workers) t.join();
-    if (!slot_.failed()) ws_.accum_dirty = false;
-    if (std::exception_ptr e = slot_.first()) std::rethrow_exception(e);
+    run_.run([this](int id) { worker(id); });
+    ws_.accum_dirty = false;
     SPC_CHECK(nb_ == 0 || bwd_completed_.load(std::memory_order_acquire) == nb_,
               "block_solve_panel: executor finished with columns pending");
     if (prof_ != nullptr) {
-      prof_->wall_s = secs_since(t0);
+      prof_->wall_s = seconds_since(t0);
       prof_->steals = fwd_queues_.steals() + bwd_queues_.steals();
     }
   }
 
  private:
+  // The deque priority of a sweep's column tasks.
+  auto sweep_prio(bool forward) const {
+    return [&p = forward ? ws_.fwd_prio : ws_.bwd_prio](i64 t) {
+      return p[static_cast<std::size_t>(t)];
+    };
+  }
+
   void seed_forward() {
     std::vector<i64> ready;
     for (idx j = 0; j < nb_; ++j) {
@@ -423,113 +379,45 @@ class SolveExecutor {
         ready.push_back(j);
       }
     }
-    // Ascending priority so every deque ends with its most critical task on
-    // top (LIFO pop). Safe before the workers spawn.
-    std::sort(ready.begin(), ready.end(), [this](i64 a, i64 b) {
-      return ws_.fwd_prio[static_cast<std::size_t>(a)] <
-             ws_.fwd_prio[static_cast<std::size_t>(b)];
-    });
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      fwd_queues_.push(static_cast<int>(i) % threads_,
-                       WorkItem{ready[i], ws_.fwd_prio[static_cast<std::size_t>(ready[i])]});
-    }
+    deal(fwd_queues_, kSeeding, ready, sweep_prio(true), Unpinned{});
   }
 
   void worker(int id) {
     SolveProfile::Worker* pw =
         prof_ ? &prof_->workers[static_cast<std::size_t>(id)] : nullptr;
     SolveWorkspace::WorkerScratch& s = ws_.scratch[static_cast<std::size_t>(id)];
-    run_sweep(id, /*forward=*/true, s, pw);
-    barrier_arrive();
+    double* idle = pw ? &pw->idle_s : nullptr;
+    // A throw out of a sweep's bookkeeping forces only that sweep's queues
+    // down; the other sweep still drains through its own freshly armed
+    // counters (numerics skipped via cancelled()).
+    run_.drain(fwd_queues_, id, idle, [&](const WorkItem& item, AcquireSource) {
+      run_forward_column(id, static_cast<idx>(item.id), s, pw);
+    });
+    run_.barrier();
     if (id == 0 && nb_ > 0) {
       // Re-arm the counters with the backward in-degrees and seed its
       // leaves. Every other worker is parked at the barrier below, so
       // dealing onto their deques is as safe as pre-spawn seeding, and the
       // barrier handoff publishes the stores.
-      std::vector<i64> ready;
+      std::vector<i64>& ready = s.ready;
+      ready.clear();
       for (idx k = 0; k < nb_; ++k) {
         const i64 d = bs_.blkptr[k + 1] - bs_.blkptr[k];
         ws_.deps[static_cast<std::size_t>(k)].store(d, std::memory_order_relaxed);
         if (d == 0) ready.push_back(k);
       }
-      std::sort(ready.begin(), ready.end(), [this](i64 a, i64 b) {
-        return ws_.bwd_prio[static_cast<std::size_t>(a)] <
-               ws_.bwd_prio[static_cast<std::size_t>(b)];
-      });
-      for (std::size_t i = 0; i < ready.size(); ++i) {
-        bwd_queues_.push(static_cast<int>(i) % threads_,
-                         WorkItem{ready[i], ws_.bwd_prio[static_cast<std::size_t>(ready[i])]});
-      }
+      deal(bwd_queues_, kSeeding, ready, sweep_prio(false), Unpinned{});
     }
-    barrier_arrive();
-    run_sweep(id, /*forward=*/false, s, pw);
-  }
-
-  // Reusable counting barrier (two arrivals per worker per run).
-  void barrier_arrive() {
-    LockGuard lock(barrier_mutex_);
-    if (--barrier_remaining_ == 0) {
-      barrier_remaining_ = threads_;
-      ++barrier_generation_;
-      barrier_cv_.notify_all();
-    } else {
-      const i64 gen = barrier_generation_;
-      while (barrier_generation_ == gen) barrier_cv_.wait(barrier_mutex_);
-    }
-  }
-
-  void run_sweep(int id, bool forward, SolveWorkspace::WorkerScratch& s,
-                 SolveProfile::Worker* pw) {
-    WorkStealingQueues& q = forward ? fwd_queues_ : bwd_queues_;
-    // Per-worker amortized deadline polling (same bound as the factor
-    // executor: one task's duration of overshoot near expiry).
-    governor::DeadlinePoller deadline_poll(deadline_);
-    WorkItem item;
-    for (;;) {
-      // relaxed polls: advisory cancellation — a missed flag runs at most
-      // one more column; fail() does the synchronized recording.
-      if (cancel_ != nullptr && !cancelled_.load(std::memory_order_relaxed) &&
-          cancel_->load(std::memory_order_relaxed)) {
-        fail(std::make_exception_ptr(
-                 Error("solve cancelled", ErrorKind::kCancelled)),
-             -1, FailureSlot::Phase::kCancel);
-      }
-      // Deadline breach = cancellation with a typed error; the DAG drains
-      // as no-ops. (relaxed guard: advisory, same as the cancel poll.)
-      if (deadline_ != nullptr &&
-          !cancelled_.load(std::memory_order_relaxed)) {
-        try {
-          deadline_poll.poll("solve");
-        } catch (...) {
-          fail(std::current_exception(), -1, FailureSlot::Phase::kCancel);
-        }
-      }
-      const auto ti = pw ? Clock::now() : Clock::time_point{};
-      const bool got = q.acquire(id, item);
-      if (pw) pw->idle_s += secs_since(ti);
-      if (!got) return;
-      try {
-        if (forward) {
-          run_forward_column(id, static_cast<idx>(item.id), s, pw);
-        } else {
-          run_backward_column(id, static_cast<idx>(item.id), s, pw);
-        }
-      } catch (...) {
-        // Bookkeeping itself threw (never expected): the drain protocol is
-        // broken, so force this sweep's queues down to guarantee the join.
-        // The other sweep still drains through its own freshly armed
-        // counters (numerics skipped via cancelled_).
-        fail(std::current_exception(), item.id, FailureSlot::Phase::kDrain);
-        q.shutdown();
-        return;
-      }
-    }
+    run_.barrier();
+    run_.drain(bwd_queues_, id, idle, [&](const WorkItem& item, AcquireSource) {
+      run_backward_column(id, static_cast<idx>(item.id), s, pw);
+    });
   }
 
   // x rows [first, first+w) += every worker's accumulated rows; the read
   // rows are re-zeroed so the panels are clean for the next run.
   void gather_accum(idx first, idx w) {
-    for (int t = 0; t < threads_; ++t) {
+    for (int t = 0; t < run_.threads(); ++t) {
       std::vector<double>& acc = ws_.scratch[static_cast<std::size_t>(t)].accum;
       for (idx c = 0; c < nrhs_; ++c) {
         double* ac = acc.data() + static_cast<std::size_t>(c) * n_ + first;
@@ -546,16 +434,16 @@ class SolveExecutor {
                           SolveProfile::Worker* pw) {
     const idx first = bs_.part.first_col[j];
     const idx w = bs_.part.width(j);
-    if (!cancelled_.load(std::memory_order_acquire)) {
+    if (!run_.cancelled()) {
       try {
         SPC_FAULT_POINT(fault::Site::kKernel, j, "solve forward column");
         if (ws_.row_ptr[static_cast<std::size_t>(j) + 1] >
             ws_.row_ptr[static_cast<std::size_t>(j)]) {
-          const auto tg = pw ? Clock::now() : Clock::time_point{};
+          const auto tg = pw ? TaskClock::now() : TaskClock::time_point{};
           gather_accum(first, w);
-          if (pw) pw->scatter_s += secs_since(tg);
+          if (pw) pw->scatter_s += seconds_since(tg);
         }
-        const auto t0 = pw ? Clock::now() : Clock::time_point{};
+        const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
         trsm_left_lower(w, nrhs_, f_.diag[static_cast<std::size_t>(j)].data(), w,
                         x_ + first, n_);
         for (i64 e = bs_.blkptr[j]; e < bs_.blkptr[j + 1]; ++e) {
@@ -572,42 +460,34 @@ class SolveExecutor {
           }
           if (pw) ++pw->updates;
         }
-        if (pw) pw->forward_s += secs_since(t0);
+        if (pw) pw->forward_s += seconds_since(t0);
       } catch (...) {
-        fail(std::current_exception(), j, FailureSlot::Phase::kCompletion);
+        run_.fail(std::current_exception(), j, FailureSlot::Phase::kCompletion);
       }
     }
     if (pw) ++pw->cols;
     // Release dependents — unconditionally, so the DAG drains after a
     // failure too.
-    std::vector<i64>& ready = s.ready;
-    ready.clear();
+    s.ready.clear();
     for (i64 e = bs_.blkptr[j]; e < bs_.blkptr[j + 1]; ++e) {
-      const idx dest = bs_.blkrow[e];
-      if (ws_.deps[static_cast<std::size_t>(dest)].fetch_sub(
-              1, std::memory_order_acq_rel) == 1) {
-        ready.push_back(dest);
-      }
+      release(bs_.blkrow[e], s.ready);
     }
-    push_ready(id, ready, ws_.fwd_prio, fwd_queues_);
-    if (fwd_completed_.fetch_add(1, std::memory_order_acq_rel) + 1 == nb_) {
-      fwd_queues_.shutdown();
-    }
+    finish_column(id, s.ready, /*forward=*/true);
   }
 
   void run_backward_column(int id, idx i, SolveWorkspace::WorkerScratch& s,
                            SolveProfile::Worker* pw) {
     const idx first = bs_.part.first_col[i];
     const idx w = bs_.part.width(i);
-    if (!cancelled_.load(std::memory_order_acquire)) {
+    if (!run_.cancelled()) {
       try {
         SPC_FAULT_POINT(fault::Site::kKernel, nb_ + i, "solve backward column");
         if (bs_.blkptr[i + 1] > bs_.blkptr[i]) {
-          const auto tg = pw ? Clock::now() : Clock::time_point{};
+          const auto tg = pw ? TaskClock::now() : TaskClock::time_point{};
           gather_accum(first, w);
-          if (pw) pw->scatter_s += secs_since(tg);
+          if (pw) pw->scatter_s += seconds_since(tg);
         }
-        const auto t0 = pw ? Clock::now() : Clock::time_point{};
+        const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
         trsm_left_ltrans(w, nrhs_, f_.diag[static_cast<std::size_t>(i)].data(),
                          w, x_ + first, n_);
         for (i64 t = ws_.row_ptr[static_cast<std::size_t>(i)];
@@ -629,44 +509,37 @@ class SolveExecutor {
                             s.accum.data() + bs_.part.first_col[src], n_);
           if (pw) ++pw->updates;
         }
-        if (pw) pw->backward_s += secs_since(t0);
+        if (pw) pw->backward_s += seconds_since(t0);
       } catch (...) {
-        fail(std::current_exception(), nb_ + i, FailureSlot::Phase::kCompletion);
+        run_.fail(std::current_exception(), nb_ + i, FailureSlot::Phase::kCompletion);
       }
     }
     if (pw) ++pw->cols;
-    std::vector<i64>& ready = s.ready;
-    ready.clear();
+    s.ready.clear();
     for (i64 t = ws_.row_ptr[static_cast<std::size_t>(i)];
          t < ws_.row_ptr[static_cast<std::size_t>(i) + 1]; ++t) {
-      const idx src = ws_.col_of_entry[static_cast<std::size_t>(
-          ws_.row_entries[static_cast<std::size_t>(t)])];
-      if (ws_.deps[static_cast<std::size_t>(src)].fetch_sub(
-              1, std::memory_order_acq_rel) == 1) {
-        ready.push_back(src);
-      }
+      release(ws_.col_of_entry[static_cast<std::size_t>(
+                  ws_.row_entries[static_cast<std::size_t>(t)])],
+              s.ready);
     }
-    push_ready(id, ready, ws_.bwd_prio, bwd_queues_);
-    if (bwd_completed_.fetch_add(1, std::memory_order_acq_rel) + 1 == nb_) {
-      bwd_queues_.shutdown();
+    finish_column(id, s.ready, /*forward=*/false);
+  }
+
+  // Releases one dependency of column k; the last release readies it.
+  void release(idx k, std::vector<i64>& ready) {
+    if (ws_.deps[static_cast<std::size_t>(k)].fetch_sub(
+            1, std::memory_order_acq_rel) == 1) {
+      ready.push_back(k);
     }
   }
 
-  void push_ready(int id, std::vector<i64>& buf, const std::vector<i64>& prio,
-                  WorkStealingQueues& q) {
-    if (buf.empty()) return;
-    std::sort(buf.begin(), buf.end(), [&prio](i64 a, i64 b) {
-      return prio[static_cast<std::size_t>(a)] < prio[static_cast<std::size_t>(b)];
-    });
-    for (i64 task : buf) {
-      q.push(id, WorkItem{task, prio[static_cast<std::size_t>(task)]});
-    }
-    buf.clear();
-  }
-
-  void fail(std::exception_ptr e, i64 task, FailureSlot::Phase phase) {
-    slot_.record(std::move(e), task, phase);
-    cancelled_.store(true, std::memory_order_release);
+  // Deals a finished column's ready dependents and counts it done; the
+  // sweep's last column shuts the sweep's queues down.
+  void finish_column(int id, std::vector<i64>& ready, bool forward) {
+    WorkStealingQueues& q = forward ? fwd_queues_ : bwd_queues_;
+    deal(q, id, ready, sweep_prio(forward), Unpinned{});
+    spc::atomic<i64>& done = forward ? fwd_completed_ : bwd_completed_;
+    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == nb_) q.shutdown();
   }
 
   const BlockFactor& f_;
@@ -676,58 +549,13 @@ class SolveExecutor {
   idx n_;
   idx nb_;
   idx nrhs_;
-  int threads_;
+  TaskRun run_;
   WorkStealingQueues fwd_queues_;
   WorkStealingQueues bwd_queues_;
-  Mutex barrier_mutex_;
-  CondVar barrier_cv_;
-  int barrier_remaining_ SPC_GUARDED_BY(barrier_mutex_);
-  i64 barrier_generation_ SPC_GUARDED_BY(barrier_mutex_) = 0;
   SolveProfile* prof_;
-  const spc::atomic<bool>* cancel_;
-  const governor::Deadline* deadline_;
-  FailureSlot slot_;
-  spc::atomic<bool> cancelled_{false};
   spc::atomic<i64> fwd_completed_{0};
   spc::atomic<i64> bwd_completed_{0};
 };
-
-void dump_solve_profile_json(const SolveProfile& p) {
-  const char* out_path = std::getenv("SPC_PROFILE_OUT");
-  std::FILE* f = out_path ? std::fopen(out_path, "w") : stderr;
-  if (!f) f = stderr;
-  const SolveProfile::Worker t = p.total();
-  std::fprintf(f,
-               "{\"profile\": \"parallel_solve\", \"threads\": %d, "
-               "\"nrhs\": %d, \"wall_s\": %.6f, \"steals\": %lld,\n",
-               static_cast<int>(p.workers.size()), p.nrhs, p.wall_s,
-               static_cast<long long>(p.steals));
-  auto worker_fields = [&](const SolveProfile::Worker& w) {
-    std::fprintf(f,
-                 "\"forward_s\": %.6f, \"backward_s\": %.6f, "
-                 "\"scatter_s\": %.6f, \"idle_s\": %.6f, \"cols\": %lld, "
-                 "\"updates\": %lld",
-                 w.forward_s, w.backward_s, w.scatter_s, w.idle_s,
-                 static_cast<long long>(w.cols),
-                 static_cast<long long>(w.updates));
-  };
-  std::fprintf(f, " \"total\": {");
-  worker_fields(t);
-  std::fprintf(f, "},\n \"workers\": [\n");
-  for (std::size_t i = 0; i < p.workers.size(); ++i) {
-    std::fprintf(f, "  {");
-    worker_fields(p.workers[i]);
-    std::fprintf(f, "}%s\n", i + 1 < p.workers.size() ? "," : "");
-  }
-  std::fprintf(f, " ]}\n");
-  if (out_path && f != stderr) std::fclose(f);
-}
-
-int resolve_threads(int threads) {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
 
 }  // namespace
 
@@ -745,15 +573,10 @@ void block_solve_panel(const BlockFactor& f, double* x, idx nrhs,
   SPC_CHECK(ws->bs == &bs,
             "block_solve_panel: workspace built for a different structure");
   const int threads = resolve_threads(opt.threads);
-
-  const char* env = std::getenv("SPC_PROFILE");
-  const bool env_dump =
-      env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
+  const bool env_dump = profile_requested();
   SolveProfile env_prof;
-  SolveProfile* prof = opt.profile != nullptr ? opt.profile
-                       : env_dump            ? &env_prof
-                                             : nullptr;
-
+  SolveProfile* prof =
+      opt.profile != nullptr ? opt.profile : env_dump ? &env_prof : nullptr;
   if (threads <= 1) {
     run_serial_panel(f, x, nrhs, opt, *ws, prof);
   } else {
@@ -761,7 +584,15 @@ void block_solve_panel(const BlockFactor& f, double* x, idx nrhs,
                      opt.deadline);
     ex.run();
   }
-  if (env_dump && prof != nullptr) dump_solve_profile_json(*prof);
+  if (env_dump) {
+    write_profile(prof->workers, [prof](std::FILE* out) {
+      std::fprintf(out,
+                   "\"parallel_solve\", \"threads\": %d, \"nrhs\": %d, "
+                   "\"wall_s\": %.6f, \"steals\": %lld",
+                   static_cast<int>(prof->workers.size()), prof->nrhs,
+                   prof->wall_s, static_cast<long long>(prof->steals));
+    });
+  }
 }
 
 void block_solve_multi_parallel(const BlockFactor& f, DenseMatrix& b,
@@ -793,14 +624,7 @@ void block_solve_multi_parallel(const BlockFactor& f, DenseMatrix& b,
         acc.workers.resize(panel_prof.workers.size());
       }
       for (std::size_t t = 0; t < panel_prof.workers.size(); ++t) {
-        SolveProfile::Worker& dst = acc.workers[t];
-        const SolveProfile::Worker& src = panel_prof.workers[t];
-        dst.forward_s += src.forward_s;
-        dst.backward_s += src.backward_s;
-        dst.scatter_s += src.scatter_s;
-        dst.idle_s += src.idle_s;
-        dst.cols += src.cols;
-        dst.updates += src.updates;
+        add_fields(acc.workers[t], panel_prof.workers[t]);
       }
       acc.wall_s += panel_prof.wall_s;
       acc.steals += panel_prof.steals;

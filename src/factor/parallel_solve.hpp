@@ -6,10 +6,10 @@
 // off-diagonal entry landing in J's row range has been applied, and finishing
 // J releases one dependency of each block row its own entries touch. The
 // backward sweep L^T x = y runs the same DAG reversed. Both sweeps execute on
-// the work-stealing deques of support/work_queue.hpp with the release
-// protocol of parallel_factor.cpp: per-task atomic dependency counters, the
-// last decrement pushes the task, ready batches pushed in critical-path
-// priority order. Workers accumulate their entry updates into per-worker
+// the task runtime of factor/task_run.hpp, over the work-stealing deques of
+// support/work_queue.hpp, with the release protocol of parallel_factor.cpp:
+// per-task atomic dependency counters, the last decrement pushes the task,
+// ready batches pushed in critical-path priority order. Workers accumulate their entry updates into per-worker
 // n x nrhs scratch panels and the destination column gathers them on entry
 // (aggregated scatter), so no lock ever guards the RHS.
 //
@@ -42,6 +42,19 @@ struct SolveProfile {
     double idle_s = 0;      // time inside the scheduler (pop/steal/park)
     i64 cols = 0;           // column tasks executed (both sweeps)
     i64 updates = 0;        // off-diagonal entry updates applied (both sweeps)
+
+    // The field list (factor/task_run.hpp): drives total(), the
+    // SPC_PROFILE JSON and the per-panel accumulation of
+    // block_solve_multi_parallel.
+    template <class F>
+    static void fields(F&& f) {
+      f("forward_s", &Worker::forward_s);
+      f("backward_s", &Worker::backward_s);
+      f("scatter_s", &Worker::scatter_s);
+      f("idle_s", &Worker::idle_s);
+      f("cols", &Worker::cols);
+      f("updates", &Worker::updates);
+    }
   };
   std::vector<Worker> workers;
   double wall_s = 0;
@@ -75,8 +88,8 @@ struct SolveOptions {
 };
 
 // Reusable solve state for one BlockStructure, mirroring ParallelWorkspace:
-// the solve DAG (entries-by-block-row CSR), critical-path priorities and
-// level sets for both sweeps, and the per-run counter/scratch arrays.
+// the solve DAG (entries-by-block-row CSR), critical-path priorities for
+// both sweeps, and the per-run counter/scratch arrays.
 // Constructing it is O(structure); prepare_run() between solves only
 // re-initializes counters and, at steady state, allocates nothing. Not
 // thread-safe: one workspace drives one solve at a time.
@@ -94,10 +107,8 @@ struct SolveWorkspace {
   std::vector<i64> row_entries;
   std::vector<idx> col_of_entry;  // owning block column of each entry
   // Critical-path heights (per-RHS flops to the sweep's end), the deque
-  // priorities; and DAG depth level sets, for stats and the stress tests.
+  // priorities.
   std::vector<i64> fwd_prio, bwd_prio;
-  std::vector<idx> fwd_level, bwd_level;
-  idx fwd_levels = 0, bwd_levels = 0;
   i64 max_entry_rows = 0;  // widest off-diagonal entry (dense rows)
 
   // --- per-run state (allocated once, re-initialized by prepare_run) -------

@@ -236,7 +236,8 @@ TEST(VariablePartition, ValidStructureAndFactor) {
   const BlockStructure bs =
       build_block_structure(sf, make_block_partition_variable(sf.sn, sizes));
   bs.validate();
-  const BlockFactor f = block_factorize(base.permuted_matrix(), bs);
+  const BlockFactor f =
+      block_factorize(base.permuted_matrix(), bs, build_task_graph(bs));
   EXPECT_LT(factor_residual_probe(base.permuted_matrix(), f), 1e-10);
 }
 

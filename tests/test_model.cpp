@@ -28,7 +28,7 @@
 #include "support/sync.hpp"
 
 #if defined(SPC_MODEL_ENABLED)
-#include "factor/parallel_factor.hpp"
+#include "factor/task_run.hpp"
 #include "support/error.hpp"
 #include "support/work_queue.hpp"
 #endif

@@ -52,7 +52,8 @@ TEST_P(EngineAgreement, AllThreeEnginesAgree) {
     case 3: a = make_fem_mesh({70, 3, 2, 9.0, 99}); break;
   }
   SparseCholesky chol = SparseCholesky::analyze(a, opt);
-  const BlockFactor right = block_factorize(chol.permuted_matrix(), chol.structure());
+  const BlockFactor right = block_factorize(
+      chol.permuted_matrix(), chol.structure(), chol.task_graph());
   const BlockFactor left = block_factorize_left(chol.permuted_matrix(),
                                                 chol.structure(), chol.task_graph());
   const BlockFactor mf = block_factorize_multifrontal(

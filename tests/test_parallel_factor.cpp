@@ -42,7 +42,8 @@ TEST_P(ParallelFactorSweep, MatchesSequentialFactor) {
   opt.ordering = problem == Problem::kDense ? SolverOptions::Ordering::kNatural
                                             : SolverOptions::Ordering::kMmd;
   SparseCholesky chol = SparseCholesky::analyze(a, opt);
-  const BlockFactor seq = block_factorize(chol.permuted_matrix(), chol.structure());
+  const BlockFactor seq = block_factorize(
+      chol.permuted_matrix(), chol.structure(), chol.task_graph());
   ParallelFactorOptions popt;
   popt.num_threads = threads;
   const BlockFactor par = block_factorize_parallel(
@@ -112,7 +113,7 @@ TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
   const SymSparse a = make_fem_mesh({120, 4, 3, 9.0, 91});
   SparseCholesky chol = SparseCholesky::analyze(a);
   const BlockFactor seq =
-      block_factorize(chol.permuted_matrix(), chol.structure());
+      block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
   const int reps = 3;
   for (int threads = 1; threads <= 8; ++threads) {
     for (int rep = 0; rep < reps; ++rep) {
@@ -176,7 +177,7 @@ TEST(ParallelFactor, StressAggregatedScatterCubeAndLpAllThreadCounts) {
     opt.block_size = 16;  // small blocks => deep graph, many mods per dest
     SparseCholesky chol = SparseCholesky::analyze(c.a, opt);
     const BlockFactor seq =
-        block_factorize(chol.permuted_matrix(), chol.structure());
+        block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
     ParallelWorkspace ws(chol.structure(), chol.task_graph());
     for (int threads = 1; threads <= 8; ++threads) {
       const BlockFactor par = block_factorize_parallel(
@@ -325,7 +326,7 @@ TEST(ParallelFactor, AffinityPoliciesMatchSequentialAcrossThreads) {
     const SymSparse a = make_problem(problem);
     SparseCholesky chol = SparseCholesky::analyze(a);
     const BlockFactor seq =
-        block_factorize(chol.permuted_matrix(), chol.structure());
+        block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
     ParallelWorkspace ws(chol.structure(), chol.task_graph());
     for (int threads : {2, 4, 8}) {
       for (const auto mode : {ParallelFactorOptions::Affinity::kSubtree,

@@ -19,6 +19,7 @@
 #include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
+#include "factor/task_run.hpp"
 #include "gen/lp_gen.hpp"
 #include "gen/mesh_gen.hpp"
 #include "graph/harwell_boeing.hpp"
@@ -462,7 +463,7 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
   const SymSparse& ap = chol.permuted_matrix();
 
   const idx col = breakdown_column(
-      [&] { block_factorize(ap, chol.structure()); });
+      [&] { block_factorize(ap, chol.structure(), chol.task_graph()); });
   EXPECT_EQ(breakdown_column([&] {
               block_factorize_left(ap, chol.structure(), chol.task_graph());
             }),
@@ -494,7 +495,7 @@ TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
   fopt.pivot_policy = PivotPolicy::kPerturb;
 
   FactorizeInfo ref;
-  block_factorize(ap, chol.structure(), fopt, &ref);
+  block_factorize(ap, chol.structure(), chol.task_graph(), fopt, &ref);
   EXPECT_GE(ref.perturbed_pivots, 1);
   EXPECT_EQ(ref.perturbed_pivots,
             static_cast<i64>(ref.perturbed_cols.size()));

@@ -473,29 +473,26 @@ TEST(SolveProfileTest, CountersMatchStructure) {
 
 // --- Workspace DAG metadata --------------------------------------------------
 
-TEST(SolveWorkspaceTest, LevelSetsAndPrioritiesAreConsistent) {
+TEST(SolveWorkspaceTest, PrioritiesFollowTheCriticalPath) {
   const SparseCholesky chol = SparseCholesky::analyze(make_grid2d(18, 20));
   const BlockStructure& bs = chol.structure();
   const SolveWorkspace ws(bs);
   const idx nb = bs.num_block_cols();
-  ASSERT_EQ(static_cast<idx>(ws.fwd_level.size()), nb);
+  ASSERT_EQ(static_cast<idx>(ws.fwd_prio.size()), nb);
+  ASSERT_EQ(static_cast<idx>(ws.bwd_prio.size()), nb);
   for (idx k = 0; k < nb; ++k) {
     EXPECT_GT(ws.fwd_prio[static_cast<std::size_t>(k)], 0);
     EXPECT_GT(ws.bwd_prio[static_cast<std::size_t>(k)], 0);
-    EXPECT_LT(ws.fwd_level[static_cast<std::size_t>(k)], ws.fwd_levels);
-    EXPECT_LT(ws.bwd_level[static_cast<std::size_t>(k)], ws.bwd_levels);
-    // An edge J -> blkrow[e] must increase forward depth and priority
-    // ordering must follow the critical path: a successor's height is
-    // strictly below its source's.
+    // Priority ordering must follow the critical path: along an edge
+    // J -> blkrow[e], a successor's height is strictly below its source's
+    // in the forward sweep, and the reverse holds in the backward sweep.
     for (i64 e = bs.blkptr[static_cast<std::size_t>(k)];
          e < bs.blkptr[static_cast<std::size_t>(k) + 1]; ++e) {
       const idx dst = bs.blkrow[static_cast<std::size_t>(e)];
-      EXPECT_GT(ws.fwd_level[static_cast<std::size_t>(dst)],
-                ws.fwd_level[static_cast<std::size_t>(k)]);
       EXPECT_GT(ws.fwd_prio[static_cast<std::size_t>(k)],
                 ws.fwd_prio[static_cast<std::size_t>(dst)]);
-      EXPECT_GT(ws.bwd_level[static_cast<std::size_t>(k)],
-                ws.bwd_level[static_cast<std::size_t>(dst)]);
+      EXPECT_GT(ws.bwd_prio[static_cast<std::size_t>(dst)],
+                ws.bwd_prio[static_cast<std::size_t>(k)]);
     }
   }
 }

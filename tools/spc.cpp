@@ -219,7 +219,7 @@ int cmd_engines(const Args& args) {
                 factor_residual_probe(chol.permuted_matrix(), f));
   };
   timed("right-looking", [&] {
-    return block_factorize(chol.permuted_matrix(), chol.structure());
+    return block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
   });
   timed("left-looking", [&] {
     return block_factorize_left(chol.permuted_matrix(), chol.structure(),
