@@ -420,9 +420,9 @@ void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
 
 namespace {
 
-// BFAC for the serial engines: guarded blocked potrf (arithmetic-identical
+// BFAC for the serial engine: guarded blocked potrf (arithmetic-identical
 // to potrf_lower on clean SPD input), with failures routed through the
-// run's PivotEnv. Sequential engines complete block columns in ascending
+// run's PivotEnv. block_factorize completes block columns in ascending
 // order, so the first strict failure is the minimal failing column.
 void bfac_guarded(idx k, BlockFactor& f, PivotEnv& pivots,
                   std::vector<idx>& adjusted) {
@@ -436,54 +436,6 @@ void bfac_guarded(idx k, BlockFactor& f, PivotEnv& pivots,
 }
 
 }  // namespace
-
-BlockFactor block_factorize_left(const SymSparse& a, const BlockStructure& bs,
-                                 const TaskGraph& tg,
-                                 const FactorizeOptions& opt,
-                                 FactorizeInfo* info) {
-  if (info != nullptr) info->reset();
-  BlockFactor f = init_block_factor(a, bs, opt.budget);
-  const idx nb = bs.num_block_cols();
-
-  // Bucket mods by destination block column.
-  std::vector<i64> dptr(static_cast<std::size_t>(nb) + 1, 0);
-  for (const BlockMod& m : tg.mods) {
-    ++dptr[static_cast<std::size_t>(tg.col_of_block[static_cast<std::size_t>(m.dest)]) + 1];
-  }
-  for (idx j = 0; j < nb; ++j) dptr[static_cast<std::size_t>(j) + 1] += dptr[static_cast<std::size_t>(j)];
-  std::vector<i64> by_dest(tg.mods.size());
-  {
-    std::vector<i64> cursor(dptr.begin(), dptr.end() - 1);
-    for (std::size_t m = 0; m < tg.mods.size(); ++m) {
-      const idx j = tg.col_of_block[static_cast<std::size_t>(tg.mods[m].dest)];
-      by_dest[static_cast<std::size_t>(cursor[static_cast<std::size_t>(j)]++)] =
-          static_cast<i64>(m);
-    }
-  }
-
-  DenseMatrix update;
-  std::vector<idx> rel_rows;
-  std::vector<idx> adjusted;
-  PivotEnv pivots(bs, make_pivot_control(a, opt), /*deferred=*/false);
-  for (idx j = 0; j < nb; ++j) {
-    // Supernode-boundary deadline check: one clock read per block column.
-    governor::Deadline::check(opt.deadline, "factorize");
-    // Pull all updates into column j (their sources live in columns < j and
-    // are already complete), then factor the column.
-    for (i64 k = dptr[static_cast<std::size_t>(j)]; k < dptr[static_cast<std::size_t>(j) + 1]; ++k) {
-      apply_block_mod(bs, tg, tg.mods[static_cast<std::size_t>(by_dest[static_cast<std::size_t>(k)])],
-                      f, update, rel_rows);
-    }
-    bfac_guarded(j, f, pivots, adjusted);
-    for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) {
-      SPC_FAULT_POINT(fault::Site::kKernel, nb + e, "BDIV");
-      trsm_right_ltrans(f.diag[static_cast<std::size_t>(j)],
-                        f.offdiag[static_cast<std::size_t>(e)]);
-    }
-  }
-  pivots.export_info(info);
-  return f;
-}
 
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
                             const TaskGraph& tg, const FactorizeOptions& opt,

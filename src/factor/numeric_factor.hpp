@@ -27,10 +27,11 @@ namespace spc {
 // Per-run pivot handling for the factorization engines. Under kStrict a
 // failed pivot raises Error(kNotPositiveDefinite) carrying the failing
 // global column; under kPerturb, pivots d <= pivot_delta * max|diag(A)| are
-// boosted to that threshold and counted (see docs/ROBUSTNESS.md). All
-// engines — serial right/left-looking, multifrontal, and the parallel
-// executors — implement identical semantics: the same matrix yields the
-// same breakdown column or the same set of perturbed columns everywhere.
+// boosted to that threshold and counted (see docs/ROBUSTNESS.md). The
+// serial right-looking, fp32 serial and work-stealing engines implement
+// identical semantics: the same matrix yields the same breakdown column or
+// the same set of perturbed columns from each. (The distributed executor,
+// a protocol validator, takes no options and is strict.)
 struct FactorizeOptions {
   PivotPolicy pivot_policy = PivotPolicy::kStrict;
   double pivot_delta = kDefaultPivotDelta;
@@ -129,8 +130,8 @@ struct BlockFactor {
   // Pooled block storage: when the factor is built by init_block_factor the
   // matrices above are views into this single 64-byte-aligned allocation
   // (one contiguous segment per block column — see BlockArenaLayout), which
-  // replaces thousands of per-block heap buffers. Construction paths that
-  // build owning blocks directly (multifrontal, deserialize) leave it null.
+  // replaces thousands of per-block heap buffers. deserialize, which builds
+  // owning blocks directly, leaves it null.
   std::shared_ptr<double[]> arena;
   i64 arena_elems = 0;
 
@@ -181,15 +182,6 @@ BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
                             const TaskGraph& tg,
                             const FactorizeOptions& opt = {},
                             FactorizeInfo* info = nullptr);
-
-// Left-looking variant: before factoring block column J, all updates into it
-// (from earlier columns) are pulled in. Numerically identical task set,
-// different schedule — the classic alternative the paper's authors compared
-// in [13]. Exposed for the factor_methods bench and as an API option.
-BlockFactor block_factorize_left(const SymSparse& a, const BlockStructure& bs,
-                                 const TaskGraph& tg,
-                                 const FactorizeOptions& opt = {},
-                                 FactorizeInfo* info = nullptr);
 
 // --- Building blocks shared with the parallel executor ---------------------
 

@@ -311,8 +311,7 @@ class WorkStealingExecutor {
           if (mine) init_block_column(a_, bs_, j, factor_);
         }
       } catch (...) {
-        run_.fail(std::current_exception(), static_cast<i64>(id),
-                  FailureSlot::Phase::kInit);
+        run_.fail(std::current_exception());
       }
       if (pw) pw->init_s += seconds_since(t0);
     }
@@ -354,7 +353,7 @@ class WorkStealingExecutor {
       try {
         complete_block(bs_, b, factor_, pivots_);
       } catch (...) {
-        run_.fail(std::current_exception(), b, FailureSlot::Phase::kCompletion);
+        run_.fail(std::current_exception());
       }
       if (pw) {
         if (is_diag_block(bs_, b)) {
@@ -482,8 +481,7 @@ class WorkStealingExecutor {
             if (pw) pw->scatter_s += seconds_since(t1);
           }
         } catch (...) {
-          run_.fail(std::current_exception(), tg_.num_blocks() + d,
-                    FailureSlot::Phase::kDrain);
+          run_.fail(std::current_exception());
         }
         processed += cnt;
         if (pw) {

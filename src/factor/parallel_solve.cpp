@@ -462,7 +462,7 @@ class SolveExecutor {
         }
         if (pw) pw->forward_s += seconds_since(t0);
       } catch (...) {
-        run_.fail(std::current_exception(), j, FailureSlot::Phase::kCompletion);
+        run_.fail(std::current_exception());
       }
     }
     if (pw) ++pw->cols;
@@ -511,7 +511,7 @@ class SolveExecutor {
         }
         if (pw) pw->backward_s += seconds_since(t0);
       } catch (...) {
-        run_.fail(std::current_exception(), nb_ + i, FailureSlot::Phase::kCompletion);
+        run_.fail(std::current_exception());
       }
     }
     if (pw) ++pw->cols;

@@ -30,8 +30,7 @@ void TaskRun::poll(governor::DeadlinePoller& deadline_poll) {
   // first-failure recording.
   if (cancel_ != nullptr && !cancelled_.load(std::memory_order_relaxed) &&
       cancel_->load(std::memory_order_relaxed)) {
-    fail(std::make_exception_ptr(Error(cancel_message_, ErrorKind::kCancelled)),
-         -1, FailureSlot::Phase::kCancel);
+    fail(std::make_exception_ptr(Error(cancel_message_, ErrorKind::kCancelled)));
   }
   // A deadline breach tears down exactly like cancellation: record the
   // failure, then keep draining the DAG as no-ops. (relaxed guard: same
@@ -40,7 +39,7 @@ void TaskRun::poll(governor::DeadlinePoller& deadline_poll) {
     try {
       deadline_poll.poll(phase_);
     } catch (...) {
-      fail(std::current_exception(), -1, FailureSlot::Phase::kCancel);
+      fail(std::current_exception());
     }
   }
 }

@@ -38,47 +38,33 @@ inline double seconds_since(TaskClock::time_point t0) {
 int resolve_threads(int requested);
 
 // First-failure record for a parallel run. The first worker to fail claims
-// the slot with a single CAS and stores its exception together with the
-// failing task id and phase; later failures never clobber it — they are
-// only counted. After the workers have joined, first() returns the winning
+// the slot with a single CAS and stores its exception; later failures never
+// clobber it. After the workers have joined, first() returns the winning
 // exception (joining establishes the happens-before for the payload).
 class FailureSlot {
  public:
-  enum class Phase { kInit, kCompletion, kDrain, kCancel };
-
   // Returns true when this call recorded the first failure.
-  bool record(std::exception_ptr e, i64 task, Phase phase) {
+  bool record(std::exception_ptr e) {
     int expected = 0;
     if (!state_.compare_exchange_strong(expected, 1,
                                         std::memory_order_acq_rel)) {
-      // relaxed: pure count of losing racers, read after the workers join.
-      later_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     error_ = std::move(e);
-    task_ = task;
-    phase_ = phase;
     state_.store(2, std::memory_order_release);
     return true;
   }
 
   bool failed() const { return state_.load(std::memory_order_acquire) != 0; }
-  // relaxed: read after the workers join (the join orders the increments).
-  i64 later_failures() const { return later_.load(std::memory_order_relaxed); }
 
   // The recorded failure; call only after the failing threads joined.
   std::exception_ptr first() const {
     return state_.load(std::memory_order_acquire) == 2 ? error_ : nullptr;
   }
-  i64 task() const { return task_; }
-  Phase phase() const { return phase_; }
 
  private:
   spc::atomic<int> state_{0};  // 0 = empty, 1 = claiming, 2 = recorded
-  spc::atomic<i64> later_{0};
   std::exception_ptr error_;
-  i64 task_ = -1;
-  Phase phase_ = Phase::kInit;
 };
 
 // Placement of a task when dealing: the worker it is pinned to, or -1
@@ -164,12 +150,12 @@ class TaskRun {
   // its generation have arrived; the last one re-arms it for the next.
   void barrier();
 
-  // Records the failure (first one wins, later ones are only counted) and
-  // flips the run into drain mode. Deliberately does NOT shut the queues
+  // Records the failure (first one wins, later ones are dropped) and flips
+  // the run into drain mode. Deliberately does NOT shut the queues
   // down: the outstanding tasks drain as no-ops through the normal
   // completion protocol, which is what leaves the workspaces reusable.
-  void fail(std::exception_ptr e, i64 task, FailureSlot::Phase phase) {
-    slot_.record(std::move(e), task, phase);
+  void fail(std::exception_ptr e) {
+    slot_.record(std::move(e));
     cancelled_.store(true, std::memory_order_release);
   }
 
@@ -200,7 +186,7 @@ class TaskRun {
       try {
         task(item, src);
       } catch (...) {
-        fail(std::current_exception(), item.id, FailureSlot::Phase::kDrain);
+        fail(std::current_exception());
         q.shutdown();
         return;
       }
@@ -260,14 +246,14 @@ void write_profile_fields(std::FILE* f, const Worker& w) {
   });
 }
 
-// Writes one profile record to $SPC_PROFILE_OUT (truncated) when set and
-// writable, else to stderr:
+// Appends one profile record to $SPC_PROFILE_OUT when set and writable,
+// else writes it to stderr:
 //   {"profile": <head>,\n "total": {<fields>},\n "workers": [\n  {...},\n ...]}
 // where head(f) prints the record's tag and run-level keys.
 template <class Worker, class Head>
 void write_profile(const std::vector<Worker>& workers, const Head& head) {
   const char* path = std::getenv("SPC_PROFILE_OUT");
-  std::FILE* out = path != nullptr ? std::fopen(path, "w") : nullptr;
+  std::FILE* out = path != nullptr ? std::fopen(path, "a") : nullptr;
   std::FILE* f = out != nullptr ? out : stderr;
   std::fprintf(f, "{\"profile\": ");
   head(f);

@@ -13,7 +13,6 @@
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
 #include "factor/fp32_factor.hpp"
-#include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
@@ -166,16 +165,6 @@ TEST_F(FaultTest, KernelFaultSurfacesFromEveryEngine) {
   expect_kind(ErrorKind::kInjectedFault, "injected fault",
               [&] { block_factorize(ap, p.chol.structure(), p.chol.task_graph()); });
   EXPECT_GE(fault::injected(Site::kKernel), 1);
-
-  fault::set_plan(single_site(Site::kKernel, 1.0, 3));
-  expect_kind(ErrorKind::kInjectedFault, nullptr, [&] {
-    block_factorize_left(ap, p.chol.structure(), p.chol.task_graph());
-  });
-
-  fault::set_plan(single_site(Site::kKernel, 1.0, 3));
-  expect_kind(ErrorKind::kInjectedFault, nullptr, [&] {
-    block_factorize_multifrontal(ap, p.chol.structure(), p.chol.symbolic());
-  });
 
   for (int threads : {1, 2, 4, 8}) {
     fault::set_plan(single_site(Site::kKernel, 1.0, 3));

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/multifrontal.hpp"
+#include "factor/fp32_factor.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
 #include "factor/task_run.hpp"
@@ -92,14 +92,9 @@ TEST(FailureSlot, FirstRecordWinsLaterAreCounted) {
   FailureSlot slot;
   EXPECT_FALSE(slot.failed());
   EXPECT_EQ(slot.first(), nullptr);
-  EXPECT_TRUE(slot.record(std::make_exception_ptr(Error("first")), 7,
-                          FailureSlot::Phase::kCompletion));
-  EXPECT_FALSE(slot.record(std::make_exception_ptr(Error("second")), 9,
-                           FailureSlot::Phase::kDrain));
+  EXPECT_TRUE(slot.record(std::make_exception_ptr(Error("first"))));
+  EXPECT_FALSE(slot.record(std::make_exception_ptr(Error("second"))));
   EXPECT_TRUE(slot.failed());
-  EXPECT_EQ(slot.later_failures(), 1);
-  EXPECT_EQ(slot.task(), 7);
-  EXPECT_EQ(slot.phase(), FailureSlot::Phase::kCompletion);
   try {
     std::rethrow_exception(slot.first());
     FAIL() << "no exception stored";
@@ -117,15 +112,13 @@ TEST(FailureSlot, ConcurrentRecordsExactlyOneWinner) {
     ts.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       ts.emplace_back([&slot, &winners, t] {
-        if (slot.record(std::make_exception_ptr(Error("w")), t,
-                        FailureSlot::Phase::kDrain)) {
+        if (slot.record(std::make_exception_ptr(Error("w")))) {
           winners.fetch_add(1, std::memory_order_relaxed);
         }
       });
     }
     for (auto& t : ts) t.join();
     EXPECT_EQ(winners.load(), 1);
-    EXPECT_EQ(slot.later_failures(), kThreads - 1);
     EXPECT_NE(slot.first(), nullptr);
   }
 }
@@ -465,12 +458,7 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
   const idx col = breakdown_column(
       [&] { block_factorize(ap, chol.structure(), chol.task_graph()); });
   EXPECT_EQ(breakdown_column([&] {
-              block_factorize_left(ap, chol.structure(), chol.task_graph());
-            }),
-            col);
-  EXPECT_EQ(breakdown_column([&] {
-              block_factorize_multifrontal(ap, chol.structure(),
-                                           chol.symbolic());
+              block_factorize_fp32(ap, chol.structure(), chol.task_graph());
             }),
             col);
   for (int threads : {1, 2, 4, 8}) {
@@ -500,14 +488,9 @@ TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
   EXPECT_EQ(ref.perturbed_pivots,
             static_cast<i64>(ref.perturbed_cols.size()));
 
-  FactorizeInfo left;
-  block_factorize_left(ap, chol.structure(), chol.task_graph(), fopt, &left);
-  EXPECT_EQ(left.perturbed_cols, ref.perturbed_cols);
-
-  FactorizeInfo mf;
-  block_factorize_multifrontal(ap, chol.structure(), chol.symbolic(), fopt,
-                               &mf);
-  EXPECT_EQ(mf.perturbed_cols, ref.perturbed_cols);
+  FactorizeInfo fp32;
+  block_factorize_fp32(ap, chol.structure(), chol.task_graph(), fopt, &fp32);
+  EXPECT_EQ(fp32.perturbed_cols, ref.perturbed_cols);
 
   for (int threads : {1, 2, 4, 8}) {
     ParallelFactorOptions popt;

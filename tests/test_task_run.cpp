@@ -3,9 +3,9 @@
 // the drain loop's exactly-once execution and first-failure teardown,
 // priority-ordered dealing; the SPC_PROFILE=1 JSON record of both
 // executors, pinned as a golden skeleton (tags, key order, the total object
-// and the workers array, the SPC_PROFILE_OUT redirect); and the governed
-// footprint estimate that registry admission reads, pinned to exact byte
-// counts.
+// and the workers array, the SPC_PROFILE_OUT redirect, which appends); and
+// the governed footprint estimate that registry admission reads, pinned to
+// exact byte counts.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -110,16 +110,14 @@ TEST(TaskRun, FirstFailureDrainsAndIsRethrown) {
         while (!first_done.load(std::memory_order_acquire)) std::this_thread::yield();
       }
       if (run.cancelled()) {
-        // drained as a no-op; a later failure is only counted
+        // drained as a no-op; a later failure is dropped
         if (t == 0) {
-          run.fail(std::make_exception_ptr(Error("late", ErrorKind::kInternal)),
-                   t, FailureSlot::Phase::kCompletion);
+          run.fail(std::make_exception_ptr(Error("late", ErrorKind::kInternal)));
         }
         return;
       }
       computed.fetch_add(1, std::memory_order_relaxed);
-      run.fail(std::make_exception_ptr(Error("first", ErrorKind::kInjectedFault)),
-               t, FailureSlot::Phase::kCompletion);
+      run.fail(std::make_exception_ptr(Error("first", ErrorKind::kInjectedFault)));
       first_done.store(true, std::memory_order_release);
     });
     FAIL() << "the recorded failure was not rethrown";
@@ -275,8 +273,12 @@ class ProfileDump : public ::testing::Test {
                                    chol_->task_graph(), opt);
   }
 
+  // Records append, so a test that reads one run's records starts from an
+  // empty file.
+  void truncate() { std::ofstream(path_, std::ios::trunc); }
+
   void solve(int threads) {
-    // The factor run writes its own record first; the solve's overwrites it.
+    // The factor run writes its own record first; the solve's follows it.
     BlockFactor f = block_factorize_parallel(
         chol_->permuted_matrix(), chol_->structure(), chol_->task_graph());
     const idx n = chol_->num_rows();
@@ -294,6 +296,7 @@ TEST_F(ProfileDump, FactorRecordKeepsItsShape) {
   setenv("SPC_PROFILE", "1", 1);
   setenv("SPC_PROFILE_OUT", path_.c_str(), 1);
   for (int threads : {1, 2, 3}) {
+    truncate();
     factor(threads);
     const std::string got = read_file(path_);
     EXPECT_EQ(mask_numbers(got), factor_golden(threads));
@@ -303,13 +306,16 @@ TEST_F(ProfileDump, FactorRecordKeepsItsShape) {
   }
 }
 
+// A factor followed by a solve leaves both records, in that order.
 TEST_F(ProfileDump, SolveRecordKeepsItsShape) {
   setenv("SPC_PROFILE", "1", 1);
   setenv("SPC_PROFILE_OUT", path_.c_str(), 1);
   for (int threads : {1, 2, 3}) {  // 1 = serial panel sweeps, >= 2 = DAG
+    truncate();
     solve(threads);
     const std::string got = read_file(path_);
-    EXPECT_EQ(mask_numbers(got), solve_golden(threads));
+    EXPECT_EQ(mask_numbers(got),
+              factor_golden(resolve_threads(0)) + solve_golden(threads));
     EXPECT_NE(got.find("\"threads\": " + std::to_string(threads) + ", " +
                        "\"nrhs\": 3,"),
               std::string::npos)

@@ -15,8 +15,9 @@
 //                panel/parallel solve path and print a timing table)
 //   spc simulate <matrix> [--procs P] [--rows CY|DW|IN|DN|ID] [--cols ...]
 //                [--no-domains] [--priority] [--timeline]
-//   spc engines  <matrix> [--threads N[,N...]]   (a list sweeps the parallel
-//                executor over the thread counts and prints a timing table)
+//   spc engines  <matrix> [--threads N[,N...]]   (times the serial
+//                right-looking factor, then sweeps the parallel executor
+//                over the thread counts with one warm workspace)
 //   spc suite    [--scale small|medium|full]
 //   spc soak     <matrix> [--iters N] [--seed S] [--mem-budget-mb MB]
 //                [--deadline-ms MS]   (N randomized governed requests
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "cli_common.hpp"
-#include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
 #include "server/server.hpp"
@@ -210,25 +210,15 @@ int cmd_engines(const Args& args) {
   std::printf("%s: comparing numeric engines (%d equations, %.1f Mops)\n",
               m.name.c_str(), m.a.num_rows(),
               static_cast<double>(chol.factor_flops_exact()) / 1e6);
-  auto timed = [&](const char* name, auto&& fn) {
+  {
     const auto t0 = std::chrono::steady_clock::now();
-    const BlockFactor f = fn();
+    const BlockFactor f =
+        block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    std::printf("  %-22s %8.3f s   residual %.1e\n", name, secs,
+    std::printf("  %-22s %8.3f s   residual %.1e\n", "right-looking", secs,
                 factor_residual_probe(chol.permuted_matrix(), f));
-  };
-  timed("right-looking", [&] {
-    return block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
-  });
-  timed("left-looking", [&] {
-    return block_factorize_left(chol.permuted_matrix(), chol.structure(),
-                                chol.task_graph());
-  });
-  timed("multifrontal", [&] {
-    return block_factorize_multifrontal(chol.permuted_matrix(), chol.structure(),
-                                        chol.symbolic());
-  });
+  }
   // Thread sweep over the parallel executor, reusing one workspace so only
   // the first run pays the plan/scratch set-up.
   ParallelWorkspace ws(chol.structure(), chol.task_graph());
@@ -251,9 +241,6 @@ int cmd_engines(const Args& args) {
     }
     std::printf("\n");
   }
-  std::printf("  multifrontal peak working set: %.1f MB\n",
-              static_cast<double>(multifrontal_peak_entries(chol.symbolic())) * 8 /
-                  1e6);
   return 0;
 }
 
