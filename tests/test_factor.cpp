@@ -4,17 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <tuple>
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
+#include "factor/fp32_factor.hpp"
 #include "factor/numeric_factor.hpp"
+#include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
 #include "gen/benchmark_suite.hpp"
 #include "gen/dense_gen.hpp"
 #include "gen/grid_gen.hpp"
 #include "gen/lp_gen.hpp"
 #include "gen/mesh_gen.hpp"
+#include "linalg/kernels.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -181,6 +186,85 @@ INSTANTIATE_TEST_SUITE_P(Table1, SuiteFactor,
                                            "BCSSTK15", "BCSSTK29", "BCSSTK31",
                                            "BCSSTK33", "CUBE40", "DENSE4096",
                                            "COPTER2", "10FLEET"));
+
+
+// --- Golden factor hashes -----------------------------------------------------
+
+// 64-bit FNV-1a over a factor's block contents: every diagonal block, then
+// every off-diagonal block, each value as its 8 little-endian bytes. This is
+// the arena minus its alignment padding (which an fp64 arena leaves
+// uninitialized).
+std::uint64_t factor_hash(const BlockFactor& f) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto add = [&h](const DenseMatrix& m) {
+    const std::size_t n =
+        static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(m.cols());
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t u = 0;
+      std::memcpy(&u, m.data() + i, sizeof u);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (u >> (8 * b)) & 0xffU;
+        h *= 1099511628211ULL;
+      }
+    }
+  };
+  for (const DenseMatrix& d : f.diag) add(d);
+  for (const DenseMatrix& e : f.offdiag) add(e);
+  return h;
+}
+
+// Bitwise pins of the serial fp64 sweep, the serial fp32 sweep and the
+// one-thread work-stealing executor, recorded before the engines shared one
+// scalar-generic code path. Pinned on the scalar kernel table: its packed
+// micro-kernel rounds every FMA exactly and its strided kernels are compiled
+// for the baseline ISA (no contraction), so the bits do not depend on the
+// host's vector extensions.
+TEST(FactorGolden, ArenaHashesMatchRecorded) {
+  struct Case {
+    const char* name;
+    SymSparse a;
+    PivotPolicy policy;
+    std::uint64_t fp64, fp32, parallel1;
+  };
+  LpGenOptions lp;
+  lp.n = 700;
+  lp.seed = 5;
+  Case cases[] = {
+      {"CUBE30", make_bench_matrix("CUBE30", SuiteScale::kSmall).matrix,
+       PivotPolicy::kStrict, 0x3b832ac18736e803ULL, 0xfe1fdddae4222295ULL,
+       0x7104b72d388d9460ULL},
+      {"mesh", make_fem_mesh({80, 3, 3, 9.0, 77}), PivotPolicy::kStrict,
+       0x8360a7d4a7035988ULL, 0x4e6d8a9f6e1403cbULL, 0x25934512279c1371ULL},
+      {"LP700", make_lp_normal_equations(lp), PivotPolicy::kStrict,
+       0xb3b59a9f57674b93ULL, 0xb499d25ce2914733ULL, 0x7f1af3c654f233bbULL},
+      {"indefinite mesh",
+       make_fem_mesh({.nodes = 60, .dof = 2, .dim = 3, .avg_node_degree = 8.0,
+                      .seed = 13, .spdize = false}),
+       PivotPolicy::kPerturb, 0x9b73a3add48b0513ULL, 0xf6135fda30c86339ULL,
+       0x9b73a3add48b0513ULL},
+  };
+  const KernelIsa saved = kernel_isa();
+  ASSERT_TRUE(set_kernel_isa(KernelIsa::kScalar));
+  for (const Case& c : cases) {
+    const SparseCholesky chol = SparseCholesky::analyze(c.a);
+    const SymSparse& ap = chol.permuted_matrix();
+    FactorizeOptions fopt;
+    fopt.pivot_policy = c.policy;
+    ParallelFactorOptions popt;
+    popt.num_threads = 1;
+    popt.pivot_policy = c.policy;
+    const std::uint64_t fp64 = factor_hash(
+        block_factorize(ap, chol.structure(), chol.task_graph(), fopt));
+    const std::uint64_t fp32 = factor_hash(
+        block_factorize_fp32(ap, chol.structure(), chol.task_graph(), fopt));
+    const std::uint64_t par1 = factor_hash(
+        block_factorize_parallel(ap, chol.structure(), chol.task_graph(), popt));
+    EXPECT_EQ(fp64, c.fp64) << c.name << " fp64 0x" << std::hex << fp64;
+    EXPECT_EQ(fp32, c.fp32) << c.name << " fp32 0x" << std::hex << fp32;
+    EXPECT_EQ(par1, c.parallel1) << c.name << " parallel1 0x" << std::hex << par1;
+  }
+  set_kernel_isa(saved);
+}
 
 }  // namespace
 }  // namespace spc
