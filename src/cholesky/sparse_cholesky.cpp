@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "factor/fp32_factor.hpp"
 #include "factor/parallel_factor.hpp"
 #include "graph/permutation.hpp"
 #include "ordering/mmd.hpp"
@@ -125,66 +124,67 @@ check::Report SparseCholesky::check_plan(const ParallelPlan& plan) const {
 }
 
 void SparseCholesky::factorize_attempt(bool parallel, int num_threads,
+                                       SolverOptions::Precision precision,
                                        const governor::Deadline* deadline) {
-  if (parallel) {
-    // The workspace pins the addresses of bs_/tg_; rebuild if this object
-    // was copied or moved since it was created (or it shares a copied-from
-    // peer's).
-    if (!pws_ || pws_->bs != &bs_ || pws_->tg != &tg_ || pws_.use_count() > 1) {
-      pws_ = std::make_shared<ParallelWorkspace>(bs_, tg_);
-    }
-    ParallelFactorOptions opt;
-    opt.num_threads = num_threads;
-    opt.pivot_policy = opt_.pivot_policy;
-    opt.pivot_delta = opt_.pivot_delta;
-    opt.info = &info_;
-    opt.budget = budget_;
-    opt.deadline = deadline;
-    factor_ = block_factorize_parallel(a_perm_, bs_, tg_, opt, pws_.get());
-    return;
+  // The workspace pins the addresses of bs_/tg_; rebuild if this object was
+  // copied or moved since it was created (or it shares a copied-from
+  // peer's). Both precisions share it.
+  if (parallel &&
+      (!pws_ || pws_->bs != &bs_ || pws_->tg != &tg_ || pws_.use_count() > 1)) {
+    pws_ = std::make_shared<ParallelWorkspace>(bs_, tg_);
   }
-  FactorizeOptions fopt;
-  fopt.pivot_policy = opt_.pivot_policy;
-  fopt.pivot_delta = opt_.pivot_delta;
-  fopt.budget = budget_;
-  fopt.deadline = deadline;
-  if (opt_.precision == SolverOptions::Precision::kFp32Refine) {
-    factor_ = block_factorize_fp32(a_perm_, bs_, tg_, fopt, &info_);
+  auto run = [&](auto zero) {
+    using T = decltype(zero);
+    if (parallel) {
+      ParallelFactorOptions opt;
+      opt.num_threads = num_threads;
+      opt.pivot_policy = opt_.pivot_policy;
+      opt.pivot_delta = opt_.pivot_delta;
+      opt.info = &info_;
+      opt.budget = budget_;
+      opt.deadline = deadline;
+      factor_ = block_factorize_parallel<T>(a_perm_, bs_, tg_, opt, pws_.get());
+    } else {
+      FactorizeOptions opt;
+      opt.pivot_policy = opt_.pivot_policy;
+      opt.pivot_delta = opt_.pivot_delta;
+      opt.budget = budget_;
+      opt.deadline = deadline;
+      factor_ = block_factorize<T>(a_perm_, bs_, tg_, opt, &info_);
+    }
+  };
+  if (precision == SolverOptions::Precision::kFp32Refine) {
+    run(0.0f);
   } else {
-    factor_ = block_factorize(a_perm_, bs_, tg_, fopt, &info_);
+    run(0.0);
   }
 }
 
-void SparseCholesky::factorize() {
+void SparseCholesky::factorize_plain(bool parallel, int num_threads) {
   const governor::Deadline dl = arm_deadline(opt_.deadline_s);
   const governor::Deadline* deadline = dl.armed() ? &dl : nullptr;
-  if (opt_.precision == SolverOptions::Precision::kFp32Refine) {
-    try {
-      factorize_attempt(/*parallel=*/false, 1, deadline);
-      return;
-    } catch (const Error& e) {
-      if (e.kind() != ErrorKind::kNotPositiveDefinite) throw;
-      // fp32 rounding can push a barely-SPD pivot negative where the fp64
-      // factorization succeeds; retry in full precision and record it. This
-      // is the plain-factorize special case of the governed ladder's
-      // kFp32ToFp64 rung.
-    }
-    FactorizeOptions fopt;
-    fopt.pivot_policy = opt_.pivot_policy;
-    fopt.pivot_delta = opt_.pivot_delta;
-    fopt.budget = budget_;
-    fopt.deadline = deadline;
-    factor_ = block_factorize(a_perm_, bs_, tg_, fopt, &info_);
-    info_.fp32_fallback = true;
+  try {
+    factorize_attempt(parallel, num_threads, opt_.precision, deadline);
     return;
+  } catch (const Error& e) {
+    if (e.kind() != ErrorKind::kNotPositiveDefinite ||
+        opt_.precision != SolverOptions::Precision::kFp32Refine) {
+      throw;
+    }
+    // fp32 rounding can push a barely-SPD pivot negative where the fp64
+    // factorization succeeds; retry in full precision and record it. This
+    // is the plain-factorize special case of the governed ladder's
+    // kFp32ToFp64 rung.
   }
-  factorize_attempt(/*parallel=*/false, 1, deadline);
+  factorize_attempt(parallel, num_threads, SolverOptions::Precision::kFp64,
+                    deadline);
+  info_.fp32_fallback = true;
 }
 
+void SparseCholesky::factorize() { factorize_plain(/*parallel=*/false, 1); }
+
 void SparseCholesky::factorize_parallel(int num_threads) {
-  const governor::Deadline dl = arm_deadline(opt_.deadline_s);
-  factorize_attempt(/*parallel=*/true, num_threads,
-                    dl.armed() ? &dl : nullptr);
+  factorize_plain(/*parallel=*/true, num_threads);
 }
 
 void SparseCholesky::reblock() {
@@ -198,7 +198,9 @@ void SparseCholesky::reblock() {
 }
 
 i64 SparseCholesky::estimate_factor_bytes(int num_threads) const {
-  return estimate_parallel_factor_bytes(bs_, tg_, num_threads);
+  return opt_.precision == SolverOptions::Precision::kFp32Refine
+             ? estimate_parallel_factor_bytes<float>(bs_, tg_, num_threads)
+             : estimate_parallel_factor_bytes<double>(bs_, tg_, num_threads);
 }
 
 void SparseCholesky::factorize_governed(int num_threads) {
@@ -227,7 +229,7 @@ void SparseCholesky::factorize_governed(int num_threads) {
                                 ctx);
         }
       }
-      factorize_attempt(parallel, num_threads, deadline);
+      factorize_attempt(parallel, num_threads, opt_.precision, deadline);
       info_.degrade_path = path;
       // The plain-factorize flag for the ladder's fp32 rung, so existing
       // introspection sees the same signal either way.

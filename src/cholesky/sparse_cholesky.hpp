@@ -76,14 +76,16 @@ struct SolverOptions {
   PivotPolicy pivot_policy = PivotPolicy::kStrict;
   double pivot_delta = kDefaultPivotDelta;
 
-  // Numeric precision of factorize() (factor/fp32_factor.hpp). kFp32Refine
+  // Numeric precision of every factorization entry point — factorize(),
+  // factorize_parallel(), factorize_governed() — on either engine (the
+  // engines' element type T, factor/numeric_factor.hpp). kFp32Refine
   // computes the factor in fp32 (up to ~2x kernel throughput), promotes it
   // to double, and pairs it with fp64 iterative refinement in the solve
   // paths, recovering fp64-quality solutions for reasonably conditioned
   // systems. If the fp32 pass breaks down under kStrict — fp32 rounding can
-  // push a barely-SPD pivot negative — factorize() automatically retries in
-  // fp64 and sets factorize_info().fp32_fallback (docs/ROBUSTNESS.md).
-  // factorize_parallel() always computes in fp64.
+  // push a barely-SPD pivot negative — factorize() and factorize_parallel()
+  // automatically retry in fp64 and set factorize_info().fp32_fallback;
+  // factorize_governed() takes its kFp32ToFp64 rung (docs/ROBUSTNESS.md).
   enum class Precision {
     kFp64,        // standard double-precision factorization (default)
     kFp32Refine,  // fp32 factorization + fp64 iterative refinement
@@ -125,7 +127,8 @@ class SparseCholesky {
   static SparseCholesky analyze_ordered(const SymSparse& a, std::vector<idx> perm,
                                         const SolverOptions& opt = {});
 
-  // Numeric factorization (throws spc::Error if A is not SPD).
+  // Numeric factorization by the serial right-looking engine in
+  // options().precision (throws spc::Error if A is not SPD).
   void factorize();
   // Same factor computed by the shared-memory data-driven executor (real
   // std::thread workers over the BFAC/BDIV/BMOD task graph; see
@@ -156,8 +159,8 @@ class SparseCholesky {
   void factorize_governed(int num_threads = 0);
 
   // Predicted governed bytes of factorize_parallel(num_threads) for the
-  // current plan (factor/parallel_factor.hpp). 0 threads = hardware
-  // concurrency.
+  // current plan in options().precision (factor/parallel_factor.hpp). 0
+  // threads = hardware concurrency.
   i64 estimate_factor_bytes(int num_threads = 0) const;
 
   // The solver's byte accounting, created at analyze() time (account-only
@@ -250,10 +253,14 @@ class SparseCholesky {
  private:
   SparseCholesky() = default;
 
-  // One ladder attempt: parallel executor or the serial engine selected by
-  // options().precision, under the given deadline and the solver's budget.
+  // One ladder attempt: the parallel executor or the serial engine in
+  // `precision`, under the given deadline and the solver's budget.
   void factorize_attempt(bool parallel, int num_threads,
+                         SolverOptions::Precision precision,
                          const governor::Deadline* deadline);
+  // factorize() / factorize_parallel(): one attempt under a freshly armed
+  // deadline, retried in fp64 after an fp32 breakdown.
+  void factorize_plain(bool parallel, int num_threads);
   // Rebuilds bs_/tg_ from the cached symbolic factorization after a ladder
   // rung changed the blocking options; drops the factor and workspaces.
   void reblock();

@@ -3,30 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <new>
+#include <string>
+#include <type_traits>
 
 #include "linalg/kernels.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 
 namespace spc {
-namespace {
-
-// Positions of each element of `sub` (ascending) within `super` (ascending,
-// superset of sub). Used to scatter update rows into destination rows.
-void relative_positions(const idx* sub_begin, const idx* sub_end,
-                        const idx* super_begin, const idx* super_end,
-                        std::vector<idx>& out) {
-  out.clear();
-  const idx* s = super_begin;
-  for (const idx* p = sub_begin; p != sub_end; ++p) {
-    while (s != super_end && *s < *p) ++s;
-    SPC_CHECK(s != super_end && *s == *p,
-              "relative_positions: row missing from destination (containment violated)");
-    out.push_back(static_cast<idx>(s - super_begin));
-  }
-}
-
-}  // namespace
 
 PivotControl make_pivot_control(const SymSparse& a, const FactorizeOptions& opt) {
   PivotControl pc;
@@ -147,69 +131,103 @@ BlockArenaLayout compute_block_arena_layout(const BlockStructure& bs) {
 
 namespace {
 
-std::shared_ptr<double[]> allocate_arena(
-    i64 elems, const std::shared_ptr<governor::MemoryBudget>& budget,
-    const char* phase) {
+// One governed, 64-byte-aligned arena allocation of `elems` elements of T.
+template <class T>
+std::shared_ptr<T[]> allocate_arena(
+    i64 elems, const std::shared_ptr<governor::MemoryBudget>& budget) {
   constexpr std::align_val_t kAlign{64};
+  constexpr const char* kWhat = std::is_same_v<T, float>
+                                    ? "fp32 arena allocation"
+                                    : "factor arena allocation";
   if (elems <= 0) return nullptr;
   // Charge before allocating: a breach surfaces as kResourceExhausted with
   // the full accounting instead of bad_alloc. The deleter refunds the bytes
-  // when the last factor reference drops, so the budget tracks live arenas.
-  const i64 bytes = elems * static_cast<i64>(sizeof(double));
-  SPC_FAULT_POINT(fault::Site::kAlloc, elems, "factor arena allocation");
-  if (budget != nullptr) budget->charge(bytes, phase);
-  double* p = nullptr;
+  // when the last reference drops, so the budget tracks live arenas.
+  const i64 bytes = elems * static_cast<i64>(sizeof(T));
+  SPC_FAULT_POINT(fault::Site::kAlloc, elems, kWhat);
+  if (budget != nullptr) budget->charge(bytes, "factorize");
+  T* p = nullptr;
   try {
-    p = static_cast<double*>(::operator new[](
-        static_cast<std::size_t>(elems) * sizeof(double), kAlign));
+    p = static_cast<T*>(::operator new[](static_cast<std::size_t>(bytes), kAlign));
   } catch (const std::bad_alloc&) {
     if (budget != nullptr) budget->release(bytes);
-    throw Error("factor arena allocation of " + std::to_string(elems) +
-                    " doubles failed",
+    throw Error(std::string(kWhat) + " of " + std::to_string(bytes) +
+                    " bytes failed",
                 ErrorKind::kResourceExhausted);
   } catch (...) {
     if (budget != nullptr) budget->release(bytes);
     throw;
   }
-  return std::shared_ptr<double[]>(p, [budget, bytes](double* q) {
+  return std::shared_ptr<T[]>(p, [budget, bytes](T* q) {
     ::operator delete[](q, kAlign);
     if (budget != nullptr) budget->release(bytes);
   });
 }
 
-}  // namespace
-
-void attach_block_arena(const BlockStructure& bs, const BlockArenaLayout& layout,
-                        BlockFactor& f,
-                        const std::shared_ptr<governor::MemoryBudget>& budget,
-                        const char* phase) {
-  const idx nb = bs.num_block_cols();
-  SPC_CHECK(static_cast<idx>(layout.diag_off.size()) == nb &&
-                static_cast<i64>(layout.entry_off.size()) == bs.num_entries(),
-            "attach_block_arena: layout/structure mismatch");
-  f.structure = &bs;
-  f.arena = allocate_arena(layout.total, budget, phase);
-  f.arena_elems = layout.total;
-  f.diag.resize(static_cast<std::size_t>(nb));
-  f.offdiag.resize(static_cast<std::size_t>(bs.num_entries()));
-  double* base = f.arena.get();
-  for (idx j = 0; j < nb; ++j) {
-    const idx w = bs.part.width(j);
-    f.diag[static_cast<std::size_t>(j)].attach(
-        base + layout.diag_off[static_cast<std::size_t>(j)], w, w);
-    for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) {
-      f.offdiag[static_cast<std::size_t>(e)].attach(
-          base + layout.entry_off[static_cast<std::size_t>(e)], bs.blkcnt[e], w);
-    }
+// Positions of each element of `sub` (ascending) within `super` (ascending,
+// superset of sub). Used to scatter update rows into destination rows.
+void relative_positions(const idx* sub_begin, const idx* sub_end,
+                        const idx* super_begin, const idx* super_end,
+                        std::vector<idx>& out) {
+  out.clear();
+  const idx* s = super_begin;
+  for (const idx* p = sub_begin; p != sub_end; ++p) {
+    while (s != super_end && *s < *p) ++s;
+    SPC_CHECK(s != super_end && *s == *p,
+              "relative_positions: row missing from destination (containment violated)");
+    out.push_back(static_cast<idx>(s - super_begin));
   }
 }
 
-void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
-                       BlockFactor& f) {
-  f.diag[static_cast<std::size_t>(j)].set_zero();
-  for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) {
-    f.offdiag[static_cast<std::size_t>(e)].set_zero();
+}  // namespace
+
+template <class T>
+FactorArena<T>::FactorArena(
+    const BlockStructure& bs_in, const BlockArenaLayout& layout_in,
+    const std::shared_ptr<governor::MemoryBudget>& budget_in)
+    : bs(&bs_in), layout(&layout_in), budget(budget_in) {
+  SPC_CHECK(static_cast<idx>(layout_in.diag_off.size()) == bs_in.num_block_cols() &&
+                static_cast<i64>(layout_in.entry_off.size()) == bs_in.num_entries(),
+            "FactorArena: layout/structure mismatch");
+  data = allocate_arena<T>(layout_in.total, budget_in);
+}
+
+template <class T>
+BlockFactor FactorArena<T>::to_factor() const {
+  BlockFactor f;
+  f.structure = bs;
+  f.arena_elems = layout->total;
+  if constexpr (std::is_same_v<T, double>) {
+    f.arena = data;
+  } else {
+    // Exact: every float is a double. The layouts share element offsets, so
+    // promotion is one linear pass (init zeroed the padding too).
+    f.arena = allocate_arena<double>(layout->total, budget);
+    std::copy(data.get(), data.get() + layout->total, f.arena.get());
   }
+  const idx nb = bs->num_block_cols();
+  f.diag.resize(static_cast<std::size_t>(nb));
+  f.offdiag.resize(static_cast<std::size_t>(bs->num_entries()));
+  double* base = f.arena.get();
+  for (idx j = 0; j < nb; ++j) {
+    const idx w = bs->part.width(j);
+    f.diag[static_cast<std::size_t>(j)].attach(
+        base + layout->diag_off[static_cast<std::size_t>(j)], w, w);
+    for (i64 e = bs->blkptr[j]; e < bs->blkptr[j + 1]; ++e) {
+      f.offdiag[static_cast<std::size_t>(e)].attach(
+          base + layout->entry_off[static_cast<std::size_t>(e)], bs->blkcnt[e], w);
+    }
+  }
+  return f;
+}
+
+template <class T>
+void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
+                       const FactorArena<T>& f) {
+  // Column j's blocks, padding included, are one contiguous segment.
+  const idx nb = bs.num_block_cols();
+  std::fill(f.diag(j),
+            j + 1 < nb ? f.diag(j + 1) : f.data.get() + f.layout->total, T(0));
 
   // Scatter A's columns of block column j. Rows within a column are (almost
   // always) ascending, so consecutive entries tend to hit the same
@@ -221,8 +239,9 @@ void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
   const auto& rowv = a.row_idx();
   const auto& val = a.values();
   const idx first = bs.part.first_col[j];
-  const idx last = first + bs.part.width(j);
-  for (idx c = first; c < last; ++c) {
+  const idx w = bs.part.width(j);
+  T* diag = f.diag(j);
+  for (idx c = first; c < first + w; ++c) {
     const idx cj = c - first;
     idx cur_bi = -1;
     i64 e = kNone;
@@ -231,17 +250,17 @@ void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
     const idx* cursor = nullptr;
     for (i64 k = ptr[static_cast<std::size_t>(c)]; k < ptr[static_cast<std::size_t>(c) + 1]; ++k) {
       const idx r = rowv[static_cast<std::size_t>(k)];
-      const double v = SPC_FAULT_POISON(
+      const T v = static_cast<T>(SPC_FAULT_POISON(
           (static_cast<std::uint64_t>(c) << 32) | static_cast<std::uint32_t>(r),
-          val[static_cast<std::size_t>(k)]);
+          val[static_cast<std::size_t>(k)]));
       if (bs.part.block_of_col[r] == j) {
-        f.diag[static_cast<std::size_t>(j)](r - first, cj) = v;
+        diag[static_cast<std::size_t>(cj) * w + (r - first)] = v;
         continue;
       }
       const idx bi = bs.part.block_of_col[r];
       if (bi != cur_bi) {
         e = bs.find_entry(j, bi);
-        SPC_CHECK(e != kNone, "init_block_factor: A entry outside factor structure");
+        SPC_CHECK(e != kNone, "init_block_column: A entry outside factor structure");
         rows = bs.entry_rows_begin(e);
         end = bs.entry_rows_end(e);
         cursor = rows;
@@ -249,27 +268,18 @@ void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
       }
       const idx* it = std::lower_bound(cursor, end, r);
       if (it == end || *it != r) it = std::lower_bound(rows, end, r);
-      SPC_CHECK(it != end && *it == r, "init_block_factor: A row outside block rows");
-      f.offdiag[static_cast<std::size_t>(e)](static_cast<idx>(it - rows), cj) = v;
+      SPC_CHECK(it != end && *it == r, "init_block_column: A row outside block rows");
+      f.entry(e)[static_cast<std::size_t>(cj) * bs.blkcnt[e] +
+                 static_cast<idx>(it - rows)] = v;
       cursor = it;
     }
   }
 }
 
-BlockFactor init_block_factor(
-    const SymSparse& a, const BlockStructure& bs,
-    const std::shared_ptr<governor::MemoryBudget>& budget) {
-  SPC_CHECK(a.num_rows() == bs.part.num_cols(),
-            "init_block_factor: matrix/structure size mismatch");
-  BlockFactor f;
-  attach_block_arena(bs, compute_block_arena_layout(bs), f, budget);
-  for (idx j = 0; j < bs.num_block_cols(); ++j) init_block_column(a, bs, j, f);
-  return f;
-}
-
-void compute_block_mod(const BlockStructure& bs, const BlockMod& m,
-                       const DenseMatrix& src_i, const DenseMatrix& src_j,
-                       DenseMatrix& update, std::vector<idx>& rel_rows) {
+template <class T>
+void compute_block_mod(const BlockStructure& bs, const TaskGraph& tg,
+                       const BlockMod& m, const T* src_i, const T* src_j,
+                       T* update, std::vector<idx>& rel_rows) {
   // Key the BMOD injection site on the mod's (dest, src_a, src_b) triple so
   // the decision is identical across engines and thread counts.
   SPC_FAULT_POINT(fault::Site::kKernel,
@@ -279,10 +289,10 @@ void compute_block_mod(const BlockStructure& bs, const BlockMod& m,
                   "BMOD");
   const idx nb = bs.num_block_cols();
   const i64 ei = m.src_a - nb;
-  update.resize_for_overwrite(src_i.rows(), src_j.rows());
-  gemm_nt_neg_raw(src_i.rows(), src_j.rows(), src_i.cols(), src_i.data(),
-                  src_i.rows(), src_j.data(), src_j.rows(), update.data(),
-                  update.rows());  // update = -L_IK L_JK^T
+  const idx mi = bs.blkcnt[ei];
+  const idx mj = bs.blkcnt[m.src_b - nb];
+  const idx w = bs.part.width(tg.col_of_block[static_cast<std::size_t>(m.src_a)]);
+  gemm_nt_neg_raw(mi, mj, w, src_i, mi, src_j, mj, update, mi);  // -L_IK L_JK^T
   if (!is_diag_block(bs, m.dest)) {
     const i64 ed = m.dest - nb;
     relative_positions(bs.entry_rows_begin(ei), bs.entry_rows_end(ei),
@@ -290,12 +300,15 @@ void compute_block_mod(const BlockStructure& bs, const BlockMod& m,
   }
 }
 
+template <class T>
 void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
-                       const BlockMod& m, const DenseMatrix& update,
-                       const std::vector<idx>& rel_rows, DenseMatrix& dest) {
+                       const BlockMod& m, const T* update,
+                       const std::vector<idx>& rel_rows, T* dest) {
   const idx nb = bs.num_block_cols();
   const i64 ei = m.src_a - nb;
   const i64 ej = m.src_b - nb;
+  const idx rows = bs.blkcnt[ei];
+  const idx cols = bs.blkcnt[ej];
   const idx* src_rows_i = bs.entry_rows_begin(ei);
   const idx* src_rows_j = bs.entry_rows_begin(ej);
   const idx j = tg.col_of_block[static_cast<std::size_t>(m.dest)];
@@ -305,62 +318,56 @@ void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
     // into a diagonal block has I == J, so src_a == src_b and the row/column
     // index lists coincide: the lower triangle of the destination is exactly
     // rr >= cc, no per-element test needed.
-    for (idx cc = 0; cc < update.cols(); ++cc) {
-      const idx dest_c = src_rows_j[cc] - first_j;
-      double* dcol = dest.col(dest_c);
-      const double* ucol = update.col(cc);
-      for (idx rr = cc; rr < update.rows(); ++rr) {
+    const idx ld = bs.part.width(j);
+    for (idx cc = 0; cc < cols; ++cc) {
+      T* dcol = dest + static_cast<std::size_t>(src_rows_j[cc] - first_j) * ld;
+      const T* ucol = update + static_cast<std::size_t>(cc) * rows;
+      for (idx rr = cc; rr < rows; ++rr) {
         dcol[src_rows_i[rr] - first_j] += ucol[rr];
       }
     }
-  } else {
-    // The source rows usually land in a few contiguous runs of destination
-    // rows (one run for mesh problems; a handful even on irregular ones).
-    // Decompose rel_rows into runs once per mod, then scatter each column
-    // with plain vector adds per run — these vectorize, unlike the indexed
-    // fallback below.
-    constexpr int kMaxRuns = 48;
-    idx run_start[kMaxRuns];  // first source row of the run
-    idx run_len[kMaxRuns];
-    idx run_dst[kMaxRuns];  // destination row of the run's first source row
-    const idx rows = update.rows();
-    int nruns = 0;
-    for (idx rr = 0; rr < rows && nruns >= 0;) {
-      const idx start = rr;
-      idx prev = rel_rows[static_cast<std::size_t>(rr)];
-      for (++rr; rr < rows && rel_rows[static_cast<std::size_t>(rr)] == prev + 1;
-           ++rr) {
-        prev = rel_rows[static_cast<std::size_t>(rr)];
-      }
-      if (nruns == kMaxRuns) {
-        nruns = -1;  // too fragmented; use the indexed loop
-        break;
-      }
-      run_start[nruns] = start;
-      run_len[nruns] = rr - start;
-      run_dst[nruns] = rel_rows[static_cast<std::size_t>(start)];
-      ++nruns;
+    return;
+  }
+  // The source rows usually land in a few contiguous runs of destination
+  // rows (one run for mesh problems; a handful even on irregular ones).
+  // Decompose rel_rows into runs once per mod, then scatter each column with
+  // plain vector adds per run — these vectorize, unlike the indexed fallback
+  // below.
+  const idx ld = bs.blkcnt[m.dest - nb];
+  constexpr int kMaxRuns = 48;
+  idx run_start[kMaxRuns];  // first source row of the run
+  idx run_len[kMaxRuns];
+  idx run_dst[kMaxRuns];  // destination row of the run's first source row
+  int nruns = 0;
+  for (idx rr = 0; rr < rows && nruns >= 0;) {
+    const idx start = rr;
+    idx prev = rel_rows[static_cast<std::size_t>(rr)];
+    for (++rr; rr < rows && rel_rows[static_cast<std::size_t>(rr)] == prev + 1;
+         ++rr) {
+      prev = rel_rows[static_cast<std::size_t>(rr)];
     }
+    if (nruns == kMaxRuns) {
+      nruns = -1;  // too fragmented; use the indexed loop
+      break;
+    }
+    run_start[nruns] = start;
+    run_len[nruns] = rr - start;
+    run_dst[nruns] = rel_rows[static_cast<std::size_t>(start)];
+    ++nruns;
+  }
+  for (idx cc = 0; cc < cols; ++cc) {
+    T* dcol = dest + static_cast<std::size_t>(src_rows_j[cc] - first_j) * ld;
+    const T* ucol = update + static_cast<std::size_t>(cc) * rows;
     if (nruns >= 0) {
-      for (idx cc = 0; cc < update.cols(); ++cc) {
-        const idx dest_c = src_rows_j[cc] - first_j;
-        double* dcol = dest.col(dest_c);
-        const double* ucol = update.col(cc);
-        for (int r = 0; r < nruns; ++r) {
-          double* d = dcol + run_dst[r];
-          const double* u = ucol + run_start[r];
-          const idx len = run_len[r];
-          for (idx i = 0; i < len; ++i) d[i] += u[i];
-        }
+      for (int r = 0; r < nruns; ++r) {
+        T* d = dcol + run_dst[r];
+        const T* u = ucol + run_start[r];
+        const idx len = run_len[r];
+        for (idx i = 0; i < len; ++i) d[i] += u[i];
       }
     } else {
-      for (idx cc = 0; cc < update.cols(); ++cc) {
-        const idx dest_c = src_rows_j[cc] - first_j;
-        double* dcol = dest.col(dest_c);
-        const double* ucol = update.col(cc);
-        for (idx rr = 0; rr < rows; ++rr) {
-          dcol[rel_rows[static_cast<std::size_t>(rr)]] += ucol[rr];
-        }
+      for (idx rr = 0; rr < rows; ++rr) {
+        dcol[rel_rows[static_cast<std::size_t>(rr)]] += ucol[rr];
       }
     }
   }
@@ -370,108 +377,102 @@ void apply_block_mod_to(const BlockStructure& bs, const TaskGraph& tg,
                         const BlockMod& m, const DenseMatrix& src_i,
                         const DenseMatrix& src_j, DenseMatrix& dest,
                         DenseMatrix& update, std::vector<idx>& rel_rows) {
-  compute_block_mod(bs, m, src_i, src_j, update, rel_rows);
-  scatter_block_mod(bs, tg, m, update, rel_rows, dest);
+  update.resize_for_overwrite(src_i.rows(), src_j.rows());
+  compute_block_mod(bs, tg, m, src_i.data(), src_j.data(), update.data(),
+                    rel_rows);
+  scatter_block_mod(bs, tg, m, update.data(), rel_rows, dest.data());
 }
 
-void apply_block_mod(const BlockStructure& bs, const TaskGraph& tg,
-                     const BlockMod& m, BlockFactor& f, DenseMatrix& update,
-                     std::vector<idx>& rel_rows) {
-  const idx nb = bs.num_block_cols();
-  const DenseMatrix& li = f.offdiag[static_cast<std::size_t>(m.src_a - nb)];
-  const DenseMatrix& lj = f.offdiag[static_cast<std::size_t>(m.src_b - nb)];
-  DenseMatrix& dest = is_diag_block(bs, m.dest)
-                          ? f.diag[static_cast<std::size_t>(m.dest)]
-                          : f.offdiag[static_cast<std::size_t>(m.dest - nb)];
-  apply_block_mod_to(bs, tg, m, li, lj, dest, update, rel_rows);
-}
-
-void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
-                    PivotEnv* pivots) {
+template <class T>
+void complete_block(const BlockStructure& bs, block_id b,
+                    const FactorArena<T>& f, PivotEnv& pivots) {
   if (is_diag_block(bs, b)) {
     SPC_FAULT_POINT(fault::Site::kKernel, b, "BFAC");
-    DenseMatrix& d = f.diag[static_cast<std::size_t>(b)];
-    if (pivots == nullptr) {
-      potrf_lower(d);  // BFAC
-    } else {
-      std::vector<idx> adjusted;
-      double first_bad = 0.0;
-      const idx replaced =
-          potrf_lower_guarded(d, pivots->control(), adjusted, &first_bad);
-      if (replaced > 0) pivots->on_block_pivots(b, adjusted, first_bad);
+    const idx w = bs.part.width(static_cast<idx>(b));
+    std::vector<idx> adjusted;
+    double first_bad = 0.0;
+    if (potrf_lower_guarded(w, f.diag(static_cast<idx>(b)), w, pivots.control(),
+                            adjusted, &first_bad) > 0) {
+      pivots.on_block_pivots(b, adjusted, first_bad);
     }
-  } else {
-    SPC_FAULT_POINT(fault::Site::kKernel, b, "BDIV");
-    const i64 e = b - bs.num_block_cols();
-    // Recover the owning column of entry e by binary search over blkptr.
-    idx lo = 0, hi = bs.num_block_cols();
-    while (lo + 1 < hi) {
-      const idx mid = (lo + hi) / 2;
-      if (bs.blkptr[mid] <= e) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    trsm_right_ltrans(f.diag[static_cast<std::size_t>(lo)],
-                      f.offdiag[static_cast<std::size_t>(e)]);  // BDIV
+    return;
   }
+  SPC_FAULT_POINT(fault::Site::kKernel, b, "BDIV");
+  const i64 e = b - bs.num_block_cols();
+  // The owning column of entry e: the last blkptr start at or before e.
+  const idx col = static_cast<idx>(
+      std::upper_bound(bs.blkptr.begin(), bs.blkptr.end(), e) -
+      bs.blkptr.begin() - 1);
+  const idx w = bs.part.width(col);
+  trsm_right_ltrans(bs.blkcnt[e], w, f.diag(col), w, f.entry(e), bs.blkcnt[e]);
 }
 
-namespace {
-
-// BFAC for the serial engine: guarded blocked potrf (arithmetic-identical
-// to potrf_lower on clean SPD input), with failures routed through the
-// run's PivotEnv. block_factorize completes block columns in ascending
-// order, so the first strict failure is the minimal failing column.
-void bfac_guarded(idx k, BlockFactor& f, PivotEnv& pivots,
-                  std::vector<idx>& adjusted) {
-  SPC_FAULT_POINT(fault::Site::kKernel, k, "BFAC");
-  adjusted.clear();
-  double first_bad = 0.0;
-  if (potrf_lower_guarded(f.diag[static_cast<std::size_t>(k)], pivots.control(),
-                          adjusted, &first_bad) > 0) {
-    pivots.on_block_pivots(k, adjusted, first_bad);
-  }
-}
-
-}  // namespace
-
+template <class T>
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
                             const TaskGraph& tg, const FactorizeOptions& opt,
                             FactorizeInfo* info) {
+  SPC_CHECK(a.num_rows() == bs.part.num_cols(),
+            "block_factorize: matrix/structure size mismatch");
   if (info != nullptr) info->reset();
-  BlockFactor f = init_block_factor(a, bs, opt.budget);
   const idx nb = bs.num_block_cols();
+  const BlockArenaLayout layout = compute_block_arena_layout(bs);
+  const FactorArena<T> f(bs, layout, opt.budget);
+  for (idx j = 0; j < nb; ++j) init_block_column(a, bs, j, f);
 
-  // Right-looking sweep: factor column K, then push its updates.
-  DenseMatrix update;
+  // Right-looking sweep: factor column K, then push its updates. Columns
+  // complete in ascending order, so the first strict pivot failure is the
+  // minimal failing column.
+  std::vector<T> update;
   std::vector<idx> rel_rows;
-  std::vector<idx> adjusted;
   PivotEnv pivots(bs, make_pivot_control(a, opt), /*deferred=*/false);
   std::size_t cursor = 0;
   for (idx k = 0; k < nb; ++k) {
     // Supernode-boundary deadline check: one clock read per block column.
     governor::Deadline::check(opt.deadline, "factorize");
-    bfac_guarded(k, f, pivots, adjusted);  // BFAC(K,K)
+    complete_block(bs, k, f, pivots);  // BFAC(K,K)
     for (i64 e = bs.blkptr[k]; e < bs.blkptr[k + 1]; ++e) {
-      SPC_FAULT_POINT(fault::Site::kKernel, nb + e, "BDIV");
-      trsm_right_ltrans(f.diag[static_cast<std::size_t>(k)],
-                        f.offdiag[static_cast<std::size_t>(e)]);  // BDIV(I,K)
+      complete_block(bs, nb + e, f, pivots);  // BDIV(I,K)
     }
-    while (cursor < tg.mods.size() && tg.mods[cursor].col_k == k) {
-      apply_block_mod(bs, tg, tg.mods[cursor], f, update, rel_rows);
-      ++cursor;
+    for (; cursor < tg.mods.size() && tg.mods[cursor].col_k == k; ++cursor) {
+      const BlockMod& m = tg.mods[cursor];  // BMOD(I,J,K)
+      update.resize(static_cast<std::size_t>(bs.blkcnt[m.src_a - nb]) *
+                    static_cast<std::size_t>(bs.blkcnt[m.src_b - nb]));
+      compute_block_mod(bs, tg, m, f.block(m.src_a), f.block(m.src_b),
+                        update.data(), rel_rows);
+      scatter_block_mod(bs, tg, m, update.data(), rel_rows, f.block(m.dest));
     }
   }
   SPC_CHECK(cursor == tg.mods.size(), "block_factorize: mods not consumed");
   pivots.export_info(info);
-  return f;
+  BlockFactor out = f.to_factor();
+  if (info != nullptr) info->fp32 = std::is_same_v<T, float>;
+  return out;
 }
 
 BlockLocks::BlockLocks(i64 num_blocks)
     : locks_(std::make_unique<Mutex[]>(static_cast<std::size_t>(num_blocks))) {
   SPC_CHECK(num_blocks >= 0, "BlockLocks: negative block count");
 }
+
+#define SPC_FACTOR_INSTANTIATE(T)                                            \
+  template struct FactorArena<T>;                                            \
+  template void init_block_column<T>(const SymSparse&, const BlockStructure&, \
+                                     idx, const FactorArena<T>&);            \
+  template void compute_block_mod<T>(const BlockStructure&, const TaskGraph&, \
+                                     const BlockMod&, const T*, const T*, T*, \
+                                     std::vector<idx>&);                     \
+  template void scatter_block_mod<T>(const BlockStructure&, const TaskGraph&, \
+                                     const BlockMod&, const T*,              \
+                                     const std::vector<idx>&, T*);           \
+  template void complete_block<T>(const BlockStructure&, block_id,          \
+                                  const FactorArena<T>&, PivotEnv&);         \
+  template BlockFactor block_factorize<T>(const SymSparse&,                 \
+                                          const BlockStructure&,             \
+                                          const TaskGraph&,                  \
+                                          const FactorizeOptions&,           \
+                                          FactorizeInfo*);
+SPC_FACTOR_INSTANTIATE(double)
+SPC_FACTOR_INSTANTIATE(float)
+#undef SPC_FACTOR_INSTANTIATE
 
 }  // namespace spc

@@ -1,8 +1,9 @@
 // Numeric block Cholesky factorization over the BlockStructure, using the
-// BFAC/BDIV/BMOD primitives of §2.1. The execution order here is sequential
-// right-looking (identical numeric result to any legal data-driven order);
-// parallel *timing* is the job of the simulator, which shares this task
-// structure.
+// BFAC/BDIV/BMOD primitives of §2.1, each written once over the element type
+// (double, or float for the mixed-precision path). The execution order here
+// is sequential right-looking (the same factor as any legal data-driven
+// order, up to floating-point summation order); parallel *timing* is the job
+// of the simulator, which shares this task structure.
 //
 // Storage: the diagonal block of column J is a width x width lower triangle
 // (stored dense); each off-diagonal block entry holds only its dense rows
@@ -28,10 +29,10 @@ namespace spc {
 // failed pivot raises Error(kNotPositiveDefinite) carrying the failing
 // global column; under kPerturb, pivots d <= pivot_delta * max|diag(A)| are
 // boosted to that threshold and counted (see docs/ROBUSTNESS.md). The
-// serial right-looking, fp32 serial and work-stealing engines implement
-// identical semantics: the same matrix yields the same breakdown column or
-// the same set of perturbed columns from each. (The distributed executor,
-// a protocol validator, takes no options and is strict.)
+// serial right-looking and work-stealing engines, in either precision,
+// implement identical semantics: the same matrix yields the same breakdown
+// column or the same set of perturbed columns from each. (The distributed
+// executor, a protocol validator, takes no options and is strict.)
 struct FactorizeOptions {
   PivotPolicy pivot_policy = PivotPolicy::kStrict;
   double pivot_delta = kDefaultPivotDelta;
@@ -49,8 +50,8 @@ struct FactorizeInfo {
   std::vector<idx> perturbed_cols;  // their global (permuted) columns, ascending
   idx breakdown_col = kNone;        // first failing column (kStrict failure);
                                     // also carried by the thrown Error
-  bool fp32 = false;           // factor numerics were computed in fp32
-                               // (block_factorize_fp32); solves should refine
+  bool fp32 = false;           // factor numerics were computed in fp32 (any
+                               // engine run with T = float); solves refine
   bool fp32_fallback = false;  // fp32 pass broke down under kStrict and the
                                // caller automatically re-factored in fp64
   // Degradation rungs taken by the facade's governed retry loop
@@ -127,9 +128,9 @@ struct BlockFactor {
   std::vector<DenseMatrix> diag;     // per block column: w x w
   std::vector<DenseMatrix> offdiag;  // per entry: cnt x w
 
-  // Pooled block storage: when the factor is built by init_block_factor the
-  // matrices above are views into this single 64-byte-aligned allocation
-  // (one contiguous segment per block column — see BlockArenaLayout), which
+  // Pooled block storage: when the factor comes from an engine the matrices
+  // above are views into this single 64-byte-aligned allocation (one
+  // contiguous segment per block column — see BlockArenaLayout), which
   // replaces thousands of per-block heap buffers. deserialize, which builds
   // owning blocks directly, leaves it null.
   std::shared_ptr<double[]> arena;
@@ -140,92 +141,119 @@ struct BlockFactor {
   double entry(idx r, idx c) const;
 };
 
-// Offsets (in doubles) of every block inside the pooled factor arena. Blocks
-// are laid out column by column — the diagonal block of column J first, then
-// J's off-diagonal entries in blkptr order — each segment aligned to a cache
-// line so adjacent destination blocks never share one.
+// Offsets (in elements) of every block inside the pooled factor arena.
+// Blocks are laid out column by column — the diagonal block of column J
+// first, then J's off-diagonal entries in blkptr order — each segment
+// aligned to a cache line so adjacent destination blocks never share one.
 struct BlockArenaLayout {
   std::vector<i64> diag_off;   // per block column
   std::vector<i64> entry_off;  // per off-diagonal entry
-  i64 total = 0;               // doubles, alignment padding included
+  i64 total = 0;               // elements, alignment padding included
 };
 
 BlockArenaLayout compute_block_arena_layout(const BlockStructure& bs);
 
-// Allocates f's arena (contents uninitialized) and attaches every
-// diag/offdiag block as a view into it. Fill with init_block_column before
-// use. The layout must come from compute_block_arena_layout(bs). With a
-// budget, the arena bytes are charged before allocation (throwing
-// kResourceExhausted with typed context on breach) and released by the
-// arena's deleter when the last reference drops.
-void attach_block_arena(const BlockStructure& bs, const BlockArenaLayout& layout,
-                        BlockFactor& f,
-                        const std::shared_ptr<governor::MemoryBudget>& budget =
-                            nullptr,
-                        const char* phase = "factorize");
+// The factor arena of one run in element type T (double or float): one
+// 64-byte-aligned allocation laid out by a BlockArenaLayout, with typed block
+// addressing. The diagonal block of column j is width x width (leading
+// dimension width); entry e is blkcnt[e] x width (leading dimension
+// blkcnt[e]). Every engine factors on one of these, so each block operation
+// below exists once for both precisions.
+template <class T>
+struct FactorArena {
+  // Allocates the arena, contents uninitialized (init_block_column fills
+  // it). With a budget, the bytes are charged before allocation (throwing
+  // kResourceExhausted with typed context on breach) and released when the
+  // last reference to the storage drops.
+  FactorArena(const BlockStructure& bs, const BlockArenaLayout& layout,
+              const std::shared_ptr<governor::MemoryBudget>& budget);
 
-// Zeroes block column j's blocks and scatters A's columns of that block
-// column into them. Touches only column j's storage, so distinct columns can
-// be initialized concurrently — the parallel executor first-touches each
-// column's arena segment on the worker that initializes it.
+  T* diag(idx j) const {
+    return data.get() + layout->diag_off[static_cast<std::size_t>(j)];
+  }
+  T* entry(i64 e) const {
+    return data.get() + layout->entry_off[static_cast<std::size_t>(e)];
+  }
+  T* block(block_id b) const {
+    const idx nb = bs->num_block_cols();
+    return b < nb ? diag(static_cast<idx>(b)) : entry(b - nb);
+  }
+
+  // The finished factor as the fp64 BlockFactor every solve reads: this
+  // storage itself for T = double; for T = float an exact promotion into a
+  // fresh (charged) double arena, so the fp64 solve and refinement apply
+  // unchanged.
+  BlockFactor to_factor() const;
+
+  const BlockStructure* bs;
+  const BlockArenaLayout* layout;
+  std::shared_ptr<governor::MemoryBudget> budget;
+  std::shared_ptr<T[]> data;
+};
+
+// Zeroes block column j's arena segment and scatters A's columns of that
+// block column into it (rounded to T). Touches only column j's storage, so
+// distinct columns can be initialized concurrently — the parallel executor
+// first-touches each column's segment on the worker that initializes it.
+template <class T>
 void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
-                       BlockFactor& f);
+                       const FactorArena<T>& f);
 
 // Factors `a` (which must already be permuted to the ordering the structure
-// was built from). Under the default strict policy, throws
-// Error(kNotPositiveDefinite) at the first failing pivot; under kPerturb,
-// boosts failing pivots and reports them through *info (may be null).
-// Right-looking: after completing block column K, all its updates are pushed
-// into later columns (the order the block fan-out method uses). `tg` must be
-// build_task_graph(bs).
+// was built from) in element type T: the right-looking sweep — after
+// completing block column K, all its updates are pushed into later columns
+// (the order the block fan-out method uses). Under the default strict
+// policy, throws Error(kNotPositiveDefinite) at the first failing pivot;
+// under kPerturb, boosts failing pivots and reports them through *info (may
+// be null). `tg` must be build_task_graph(bs).
+//
+// T = float computes the whole factor in fp32 (half the bytes per GEMM,
+// twice the lanes per vector op) and returns it promoted to double, with
+// info->fp32 set; one or two refinement sweeps against the fp64 matrix then
+// recover working accuracy (docs/ROBUSTNESS.md). Pivot tests run in double,
+// but the pivot *values* are fp32 partial results, so a barely-SPD matrix
+// can break down in fp32 and still factor in fp64; SparseCholesky catches
+// that and retries in fp64.
+template <class T = double>
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
                             const TaskGraph& tg,
                             const FactorizeOptions& opt = {},
                             FactorizeInfo* info = nullptr);
 
-// --- Building blocks shared with the parallel executor ---------------------
+// --- Block operations shared by the engines ---------------------------------
 
-// Allocates all blocks and scatters A into them. The arena bytes are
-// charged against `budget` when one is given (see attach_block_arena).
-BlockFactor init_block_factor(const SymSparse& a, const BlockStructure& bs,
-                              const std::shared_ptr<governor::MemoryBudget>&
-                                  budget = nullptr);
+// Two-phase BMOD(I,J,K), the contention-avoiding split the shared-memory
+// executor uses: `compute_block_mod` runs the GEMM of the two source blocks
+// into caller scratch (`update`, blkcnt[I] x blkcnt[J]) and resolves the
+// destination row positions (no access to the destination block, so it
+// needs no lock); `scatter_block_mod` adds the finished update into `dest`,
+// which has the destination block's shape, and is the only part that must
+// hold the destination's lock.
+template <class T>
+void compute_block_mod(const BlockStructure& bs, const TaskGraph& tg,
+                       const BlockMod& m, const T* src_i, const T* src_j,
+                       T* update, std::vector<idx>& rel_rows);
+template <class T>
+void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
+                       const BlockMod& m, const T* update,
+                       const std::vector<idx>& rel_rows, T* dest);
 
-// Applies one BMOD(I,J,K) from the task graph: computes the outer-product
-// update of the two source blocks and scatters it into the destination
-// (diagonal or off-diagonal). `update`/`rel_rows` are caller scratch.
-void apply_block_mod(const BlockStructure& bs, const TaskGraph& tg,
-                     const BlockMod& m, BlockFactor& f, DenseMatrix& update,
-                     std::vector<idx>& rel_rows);
-
-// Same, but with explicit source/destination storage — used by the
-// distributed executor, whose data lives in per-processor stores rather
-// than one shared BlockFactor. `dest` must have the destination block's
-// shape (width x width for a diagonal destination).
+// Both phases on DenseMatrix storage — used by the distributed executor,
+// whose data lives in per-processor stores rather than one arena. `dest`
+// must have the destination block's shape (width x width for a diagonal
+// destination).
 void apply_block_mod_to(const BlockStructure& bs, const TaskGraph& tg,
                         const BlockMod& m, const DenseMatrix& src_i,
                         const DenseMatrix& src_j, DenseMatrix& dest,
                         DenseMatrix& update, std::vector<idx>& rel_rows);
 
-// Two-phase BMOD, the contention-avoiding split the shared-memory executor
-// uses: `compute_block_mod` runs the GEMM into caller scratch and resolves
-// the destination row positions (no access to the destination block, so it
-// needs no lock); `scatter_block_mod` adds the finished update into the
-// destination and is the only part that must hold the destination's lock.
-void compute_block_mod(const BlockStructure& bs, const BlockMod& m,
-                       const DenseMatrix& src_i, const DenseMatrix& src_j,
-                       DenseMatrix& update, std::vector<idx>& rel_rows);
-void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
-                       const BlockMod& m, const DenseMatrix& update,
-                       const std::vector<idx>& rel_rows, DenseMatrix& dest);
-
 // Runs a block's completion operation: BFAC for diagonal blocks, BDIV for
 // off-diagonal ones (the diagonal block of its column must be factored).
-// With a PivotEnv, failed BFAC pivots are routed through its policy
-// (throw / record / boost-and-defer); without one, the first failed pivot
-// throws Error(kNotPositiveDefinite) with block-local context.
-void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
-                    PivotEnv* pivots = nullptr);
+// Failed BFAC pivots are routed through the run's PivotEnv (throw / record /
+// boost-and-defer).
+template <class T>
+void complete_block(const BlockStructure& bs, block_id b,
+                    const FactorArena<T>& f, PivotEnv& pivots);
 
 // Per-destination-block mutexes: the shared-memory executors serialize
 // scatters into the same destination block on these. One annotated

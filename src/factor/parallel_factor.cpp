@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "factor/scheduler.hpp"
@@ -189,11 +191,25 @@ void ParallelWorkspace::prepare_run(
     footprint_bytes += grow_bytes;
     scratch.resize(static_cast<std::size_t>(num_threads));
   }
-  // High-water scratch reservation.
+  // High-water scratch reservation, in doubles so both precisions fit.
   for (WorkerScratch& s : scratch) {
-    s.update.reserve(static_cast<idx>(scratch_cap(max_update_elems)), 1);
-    s.accum.reserve(static_cast<idx>(scratch_cap(max_block_elems)), 1);
+    s.update.reserve(static_cast<std::size_t>(scratch_cap(max_update_elems)) *
+                     sizeof(double));
+    s.accum.reserve(static_cast<std::size_t>(scratch_cap(max_block_elems)) *
+                    sizeof(double));
   }
+}
+
+void ParallelWorkspace::ScratchBuffer::Free::operator()(void* p) const {
+  ::operator delete(p, std::align_val_t{64});
+}
+
+void ParallelWorkspace::ScratchBuffer::reserve(std::size_t bytes) {
+  if (bytes <= bytes_) return;
+  ptr_.reset();
+  bytes_ = 0;
+  ptr_.reset(::operator new(bytes, std::align_val_t{64}));
+  bytes_ = bytes;
 }
 
 namespace {
@@ -209,12 +225,14 @@ namespace {
 // each deque's LIFO end holds its most critical task, and thieves pick
 // victims by the deques' priority hints.
 // ---------------------------------------------------------------------------
+// The workspace must be prepared for the run before construction.
+template <class T>
 class WorkStealingExecutor {
  public:
   WorkStealingExecutor(const SymSparse& a, const BlockStructure& bs,
                        const TaskGraph& tg, int num_threads,
                        ParallelWorkspace& ws, ParallelProfile* prof,
-                       PivotEnv* pivots, const spc::atomic<bool>* cancel,
+                       PivotEnv& pivots, const spc::atomic<bool>* cancel,
                        bool affinity,
                        const std::shared_ptr<governor::MemoryBudget>& budget,
                        const governor::Deadline* deadline)
@@ -222,16 +240,13 @@ class WorkStealingExecutor {
         bs_(bs),
         tg_(tg),
         ws_(ws),
+        arena_(bs, ws.layout, budget),
         run_(num_threads, cancel, deadline, "factorize",
              "factorization cancelled"),
         affinity_(affinity),
         queues_(num_threads),
         prof_(prof),
         pivots_(pivots) {
-    SPC_CHECK(ws.bs == &bs && ws.tg == &tg,
-              "block_factorize_parallel: workspace built for another plan");
-    ws_.prepare_run(num_threads, affinity, budget);
-    attach_block_arena(bs_, ws_.layout, factor_, budget);
     if (prof_) {
       prof_->workers.assign(static_cast<std::size_t>(num_threads), {});
       prof_->wall_s = 0;
@@ -251,7 +266,7 @@ class WorkStealingExecutor {
       prof_->wall_s = seconds_since(t0);
       prof_->steals = queues_.steals();
     }
-    return std::move(factor_);
+    return arena_.to_factor();
   }
 
  private:
@@ -308,7 +323,7 @@ class WorkStealingExecutor {
               o >= 0 ? o == id
                      : static_cast<int>(shared % run_.threads()) == id;
           if (o < 0) ++shared;
-          if (mine) init_block_column(a_, bs_, j, factor_);
+          if (mine) init_block_column(a_, bs_, j, arena_);
         }
       } catch (...) {
         run_.fail(std::current_exception());
@@ -351,7 +366,7 @@ class WorkStealingExecutor {
     if (!run_.cancelled()) {
       const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
       try {
-        complete_block(bs_, b, factor_, pivots_);
+        complete_block(bs_, b, arena_, pivots_);
       } catch (...) {
         run_.fail(std::current_exception());
       }
@@ -425,10 +440,11 @@ class WorkStealingExecutor {
   // stays empty across the state hand-off, so no released mod is stranded.
   void run_dest(int id, block_id d, ParallelWorkspace::WorkerScratch& s,
                 ParallelProfile::Worker* pw) {
-    const idx nb = bs_.num_block_cols();
     const bool diag = is_diag_block(bs_, d);
-    DenseMatrix& dest = diag ? factor_.diag[static_cast<std::size_t>(d)]
-                             : factor_.offdiag[static_cast<std::size_t>(d - nb)];
+    T* dest = arena_.block(d);
+    const idx rows = tg_.rows_of_block[static_cast<std::size_t>(d)];
+    const idx cols =
+        bs_.part.width(tg_.col_of_block[static_cast<std::size_t>(d)]);
     i64 processed = 0;
     for (;;) {
       i64 chain = ws_.dest_head[static_cast<std::size_t>(d)].exchange(
@@ -450,33 +466,34 @@ class WorkStealingExecutor {
           if (run_.cancelled()) {
             // drained as a no-op
           } else if (cnt == 1) {
-            compute_mod(chain, s, pw);
+            const T* update = compute_mod(chain, s, pw);
             const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
             {
               LockGuard lock(ws_.locks.for_block(d));
               scatter_block_mod(bs_, tg_,
                                 tg_.mods[static_cast<std::size_t>(chain)],
-                                s.update, s.rel_rows, dest);
+                                update, s.rel_rows, dest);
             }
             if (pw) pw->scatter_s += seconds_since(t0);
           } else {
             const auto tz = pw ? TaskClock::now() : TaskClock::time_point{};
-            s.accum.resize_for_overwrite(dest.rows(), dest.cols());
-            s.accum.set_zero();
+            const i64 n = static_cast<i64>(rows) * cols;
+            T* accum = s.accum.get<T>(n);
+            std::fill(accum, accum + n, T(0));
             if (pw) pw->scatter_s += seconds_since(tz);
             for (i64 m = chain; m != kEmptyList;
                  m = ws_.mod_next[static_cast<std::size_t>(m)].load(
                      std::memory_order_relaxed)) {
-              compute_mod(m, s, pw);
+              const T* update = compute_mod(m, s, pw);
               const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
               scatter_block_mod(bs_, tg_, tg_.mods[static_cast<std::size_t>(m)],
-                                s.update, s.rel_rows, s.accum);
+                                update, s.rel_rows, accum);
               if (pw) pw->scatter_s += seconds_since(t0);
             }
             const auto t1 = pw ? TaskClock::now() : TaskClock::time_point{};
             {
               LockGuard lock(ws_.locks.for_block(d));
-              apply_accum(dest, s.accum, diag);
+              apply_accum(dest, accum, rows, cols, diag);
             }
             if (pw) pw->scatter_s += seconds_since(t1);
           }
@@ -515,34 +532,35 @@ class WorkStealingExecutor {
     }
   }
 
-  void compute_mod(i64 m, ParallelWorkspace::WorkerScratch& s,
-                   ParallelProfile::Worker* pw) {
+  // Computes mod m's update into the worker's scratch and returns it.
+  const T* compute_mod(i64 m, ParallelWorkspace::WorkerScratch& s,
+                       ParallelProfile::Worker* pw) {
     const BlockMod& mod = tg_.mods[static_cast<std::size_t>(m)];
-    const idx nb = bs_.num_block_cols();
-    const DenseMatrix& li = factor_.offdiag[static_cast<std::size_t>(mod.src_a - nb)];
-    const DenseMatrix& lj = factor_.offdiag[static_cast<std::size_t>(mod.src_b - nb)];
+    T* update = s.update.get<T>(
+        static_cast<i64>(tg_.rows_of_block[static_cast<std::size_t>(mod.src_a)]) *
+        tg_.rows_of_block[static_cast<std::size_t>(mod.src_b)]);
     const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
-    compute_block_mod(bs_, mod, li, lj, s.update, s.rel_rows);
+    compute_block_mod(bs_, tg_, mod, arena_.block(mod.src_a),
+                      arena_.block(mod.src_b), update, s.rel_rows);
     if (pw) pw->bmod_compute_s += seconds_since(t0);
+    return update;
   }
 
-  // dest += accum, shapes identical; lower triangle only for diagonal
-  // blocks (their strict upper part is dead storage). Contiguous adds, so
-  // the committed critical section is pure streaming bandwidth.
-  static void apply_accum(DenseMatrix& dest, const DenseMatrix& acc, bool diag) {
+  // dest += acc, both rows x cols with leading dimension rows; lower
+  // triangle only for diagonal blocks (their strict upper part is dead
+  // storage). Contiguous adds, so the committed critical section is pure
+  // streaming bandwidth.
+  static void apply_accum(T* dest, const T* acc, idx rows, idx cols,
+                          bool diag) {
     if (diag) {
-      for (idx c = 0; c < dest.cols(); ++c) {
-        double* dcol = dest.col(c) + c;
-        const double* acol = acc.col(c) + c;
-        const idx len = dest.rows() - c;
-        for (idx i = 0; i < len; ++i) dcol[i] += acol[i];
+      for (idx c = 0; c < cols; ++c) {
+        const std::size_t off = static_cast<std::size_t>(c) * rows + c;
+        for (idx i = 0; i < rows - c; ++i) dest[off + i] += acc[off + i];
       }
     } else {
-      double* dp = dest.data();
-      const double* ap = acc.data();
       const std::size_t n =
-          static_cast<std::size_t>(dest.rows()) * static_cast<std::size_t>(dest.cols());
-      for (std::size_t i = 0; i < n; ++i) dp[i] += ap[i];
+          static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+      for (std::size_t i = 0; i < n; ++i) dest[i] += acc[i];
     }
   }
 
@@ -568,17 +586,18 @@ class WorkStealingExecutor {
   const BlockStructure& bs_;
   const TaskGraph& tg_;
   ParallelWorkspace& ws_;
-  BlockFactor factor_;
+  const FactorArena<T> arena_;
   TaskRun run_;
   bool affinity_;
   WorkStealingQueues queues_;
   ParallelProfile* prof_;
-  PivotEnv* pivots_;
+  PivotEnv& pivots_;
   spc::atomic<i64> completed_{0};
 };
 
 }  // namespace
 
+template <class T>
 BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& bs,
                                      const TaskGraph& tg,
                                      const ParallelFactorOptions& opt,
@@ -600,14 +619,17 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
     local = std::make_unique<ParallelWorkspace>(bs, tg);
     ws = local.get();
   }
+  SPC_CHECK(ws->bs == &bs && ws->tg == &tg,
+            "block_factorize_parallel: workspace built for another plan");
+  const bool affinity =
+      opt.affinity == ParallelFactorOptions::Affinity::kSubtree;
+  ws->prepare_run(threads, affinity, opt.budget);
   const bool env_dump = profile_requested();
   ParallelProfile env_profile;
   ParallelProfile* prof =
       opt.profile != nullptr ? opt.profile : env_dump ? &env_profile : nullptr;
-  WorkStealingExecutor exec(
-      a, bs, tg, threads, *ws, prof, &pivots, opt.cancel,
-      opt.affinity == ParallelFactorOptions::Affinity::kSubtree, opt.budget,
-      opt.deadline);
+  WorkStealingExecutor<T> exec(a, bs, tg, threads, *ws, prof, pivots,
+                               opt.cancel, affinity, opt.budget, opt.deadline);
   BlockFactor f;
   try {
     f = exec.run();
@@ -627,17 +649,32 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
   }
   pivots.export_info(opt.info);
   if (pivots.has_breakdown()) pivots.throw_breakdown();
+  if (opt.info != nullptr) opt.info->fp32 = std::is_same_v<T, float>;
   return f;
 }
 
+template <class T>
 i64 estimate_parallel_factor_bytes(const BlockStructure& bs, const TaskGraph& tg,
                                    int num_threads) {
   const BlockArenaLayout layout = compute_block_arena_layout(bs);
   const PlanExtents x = plan_extents(bs, tg);
-  return layout.total * static_cast<i64>(sizeof(double)) +  // factor arena
+  // The fp64 factor arena, plus the fp32 one it is promoted from.
+  const i64 arena_elem_bytes =
+      sizeof(double) + (std::is_same_v<T, float> ? sizeof(float) : 0);
+  return layout.total * arena_elem_bytes +
          plan_bytes(tg, x.src_entries, layout) + counter_bytes(tg) +
          resolve_threads(num_threads) *
              worker_scratch_bytes(x.max_update, x.max_block);
 }
+
+#define SPC_PARALLEL_INSTANTIATE(T)                                          \
+  template BlockFactor block_factorize_parallel<T>(                         \
+      const SymSparse&, const BlockStructure&, const TaskGraph&,             \
+      const ParallelFactorOptions&, ParallelWorkspace*);                     \
+  template i64 estimate_parallel_factor_bytes<T>(const BlockStructure&,     \
+                                                 const TaskGraph&, int);
+SPC_PARALLEL_INSTANTIATE(double)
+SPC_PARALLEL_INSTANTIATE(float)
+#undef SPC_PARALLEL_INSTANTIATE
 
 }  // namespace spc

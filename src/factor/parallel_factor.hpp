@@ -21,7 +21,9 @@
 // docs/PARALLEL_EXECUTOR.md.
 //
 // The numeric result is the exact same factor as block_factorize up to
-// floating-point summation order (updates may apply in any order).
+// floating-point summation order (updates may apply in any order). Like
+// block_factorize, the executor is written once over the element type: T =
+// float runs every task in fp32 and returns the factor promoted to double.
 #pragma once
 
 #include <memory>
@@ -119,12 +121,34 @@ struct ParallelWorkspace {
   std::unique_ptr<spc::atomic<int>[]> dest_state; // per block: drain flag
   BlockLocks locks;
 
+  // Per-worker scratch of either element type: one 64-byte-aligned buffer
+  // whose capacity counts bytes, so fp64 and fp32 runs share one
+  // reservation (sized for doubles, which covers floats).
+  class ScratchBuffer {
+   public:
+    // Grows the capacity to at least `bytes`; contents are not preserved.
+    void reserve(std::size_t bytes);
+    // Storage for `n` elements of T, contents unspecified.
+    template <class T>
+    T* get(i64 n) {
+      reserve(static_cast<std::size_t>(n) * sizeof(T));
+      return static_cast<T*>(ptr_.get());
+    }
+
+   private:
+    struct Free {
+      void operator()(void* p) const;
+    };
+    std::unique_ptr<void, Free> ptr_;
+    std::size_t bytes_ = 0;
+  };
+
   // Per-worker scratch, persisted across runs and reserved to the high-water
   // sizes above, so steady-state BMODs of repeated factorizations allocate
   // nothing.
   struct WorkerScratch {
-    DenseMatrix update;         // one BMOD's GEMM result
-    DenseMatrix accum;          // aggregated updates into one destination
+    ScratchBuffer update;       // one BMOD's GEMM result
+    ScratchBuffer accum;        // aggregated updates into one destination
     std::vector<idx> rel_rows;  // scatter row map
     std::vector<i64> ready;     // ready-task batch buffer
   };
@@ -203,10 +227,12 @@ struct ParallelFactorOptions {
   const governor::Deadline* deadline = nullptr;
 };
 
-// Factors `a` over the given block structure / task graph. When `ws` is
-// non-null it must have been constructed from the same (bs, tg) and is
-// reused across calls (no per-call analysis or scratch allocation);
-// otherwise a temporary workspace is built internally.
+// Factors `a` over the given block structure / task graph in element type T
+// (block_factorize's T: float computes in fp32, returns the factor promoted
+// to double and sets info->fp32). When `ws` is non-null it must have been
+// constructed from the same (bs, tg) and is reused across calls — by either
+// precision — with no per-call analysis or scratch allocation; otherwise a
+// temporary workspace is built internally.
 //
 // Failure semantics (docs/ROBUSTNESS.md): on the first task failure —
 // injected fault, allocation failure, internal error — the executor flips a
@@ -214,18 +240,21 @@ struct ParallelFactorOptions {
 // are still consumed so the DAG terminates), all workers join, and the
 // *first* failure is rethrown with its context. A subsequent call on the
 // same workspace starts from a fully reset state and succeeds.
+template <class T = double>
 BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& bs,
                                      const TaskGraph& tg,
                                      const ParallelFactorOptions& opt = {},
                                      ParallelWorkspace* ws = nullptr);
 
 // Predicted governed bytes of a `num_threads`-way parallel factorization of
-// this plan: factor arena + workspace static arrays + per-run counters +
-// reserved per-worker scratch — every allocation block_factorize_parallel
-// charges against a MemoryBudget. Conservative upper bound on the measured
-// peak (it assumes full scratch reservation); the facade uses it for
-// admission control before numeric work starts. 0 threads = hardware
-// concurrency.
+// this plan in element type T: factor arena (for T = float, the fp32 arena
+// plus the promoted fp64 one, which coexist while promoting) + workspace
+// static arrays + per-run counters + reserved per-worker scratch — every
+// allocation block_factorize_parallel<T> charges against a MemoryBudget.
+// Conservative upper bound on the measured peak (it assumes full scratch
+// reservation); the facade uses it for admission control before numeric
+// work starts. 0 threads = hardware concurrency.
+template <class T = double>
 i64 estimate_parallel_factor_bytes(const BlockStructure& bs, const TaskGraph& tg,
                                    int num_threads);
 

@@ -5,8 +5,10 @@
 //   BDIV(I,K):    L_IK := L_IK * L_KK^{-T}    -> trsm_right_ltrans
 //   BMOD(I,J,K):  L_IJ := L_IJ - L_IK L_JK^T  -> gemm_nt_minus
 //
-// All operate on column-major DenseMatrix storage. Written from scratch (no
-// BLAS is available offline). The BMOD kernel is a packed, cache-tiled GEMM
+// All operate on column-major storage: DenseMatrix, or raw strided arrays of
+// either element type (double, float) for the entry points the numeric
+// factorization runs on its typed arena. Written from scratch (no BLAS is
+// available offline). The BMOD kernel is a packed, cache-tiled GEMM
 // with a register micro-kernel; BFAC and BDIV are blocked panel algorithms
 // expressed through the same level-3 core, so B=48..96 blocks run near
 // machine speed. The `_unblocked` scalar variants, gemm_nt_minus_naive and
@@ -50,20 +52,27 @@ void potrf_lower(DenseMatrix& a);
 // Scalar (unblocked) reference version of potrf_lower.
 void potrf_lower_unblocked(DenseMatrix& a);
 
-// Guarded variant: pivots failing the control's test are replaced (boosted
-// under kPerturb; set to 1 under kStrict so the factorization can continue
-// deterministically) instead of throwing. The local column index of every
-// replaced pivot is appended to `adjusted`, the first failing pivot's value
-// lands in *first_bad, and the number of replacements is returned. The
-// engines build their policy semantics (immediate throw, deferred
-// min-column breakdown, perturbation accounting) on top of this.
-idx potrf_lower_guarded(DenseMatrix& a, const PivotControl& pc,
+// Guarded variant on the leading n x n lower triangle of `a` (lda-strided,
+// T = double or float): pivots failing the control's test are replaced
+// (boosted under kPerturb; set to 1 under kStrict so the factorization can
+// continue deterministically) instead of throwing. The local column index of
+// every replaced pivot is appended to `adjusted`, the first failing pivot's
+// value lands in *first_bad, and the number of replacements is returned.
+// The test itself runs in double for both element types, so fp32 keeps the
+// fp64 thresholds. The engines build their policy semantics (immediate
+// throw, deferred min-column breakdown, perturbation accounting) on top of
+// this.
+template <class T>
+idx potrf_lower_guarded(idx n, T* a, idx lda, const PivotControl& pc,
                         std::vector<idx>& adjusted, double* first_bad);
 
 // B := B * L^{-T} where L is lower triangular (the diagonal block of the
 // factor). B is m x k, L is k x k. Blocked: left-looking over column panels
 // of B, with the bulk of the work done by the packed GEMM core.
 void trsm_right_ltrans(const DenseMatrix& l, DenseMatrix& b);
+// Same on raw strided storage (ldl, ldb), T = double or float.
+template <class T>
+void trsm_right_ltrans(idx m, idx k, const T* l, idx ldl, T* b, idx ldb);
 
 // Scalar (unblocked) reference version of trsm_right_ltrans.
 void trsm_right_ltrans_unblocked(const DenseMatrix& l, DenseMatrix& b);
@@ -80,17 +89,20 @@ void gemm_nt_minus_blocked(const DenseMatrix& a, const DenseMatrix& b, DenseMatr
 void gemm_nt_minus_packed(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 
 // Strided core: C := C - A * B^T on raw column-major storage with leading
-// dimensions. A is m x k (lda), B is n x k (ldb), C is m x n (ldc). The
-// blocked potrf/trsm panels run their trailing updates through this.
-void gemm_nt_minus_raw(idx m, idx n, idx k, const double* a, idx lda,
-                       const double* b, idx ldb, double* c, idx ldc);
+// dimensions. A is m x k (lda), B is n x k (ldb), C is m x n (ldc); T =
+// double or float. The blocked potrf/trsm panels run their trailing updates
+// through this.
+template <class T>
+void gemm_nt_minus_raw(idx m, idx n, idx k, const T* a, idx lda, const T* b,
+                       idx ldb, T* c, idx ldc);
 
 // C := -(A * B^T), overwriting C (which need not be initialized). Saves the
 // zero-fill pass plus the first k-panel's C read versus resize-to-zero +
 // gemm_nt_minus_raw when C is scratch — the two-phase BMOD computes its
 // per-worker update block through this.
-void gemm_nt_neg_raw(idx m, idx n, idx k, const double* a, idx lda,
-                     const double* b, idx ldb, double* c, idx ldc);
+template <class T>
+void gemm_nt_neg_raw(idx m, idx n, idx k, const T* a, idx lda, const T* b,
+                     idx ldb, T* c, idx ldc);
 
 // ---------------------------------------------------------------------------
 // Solve-path kernels (docs/SOLVE.md). The triangular solve works on n x nrhs
@@ -144,33 +156,6 @@ bool set_kernel_isa(KernelIsa isa);
 KernelIsa kernel_isa();  // currently active path (resolves on first use)
 bool kernel_isa_supported(KernelIsa isa);
 const char* kernel_isa_name(KernelIsa isa);  // "scalar" | "avx2" | "avx512"
-
-// ---------------------------------------------------------------------------
-// fp32 kernels for the mixed-precision factorization (fp32 factor + fp64
-// iterative refinement). Raw strided storage only — the fp32 factor lives in
-// a flat float arena, not in DenseMatrix. Same dispatch tables as above.
-// ---------------------------------------------------------------------------
-
-// C := C - A * B^T with A m x k (lda), B n x k (ldb), C m x n (ldc).
-void gemm_nt_minus_raw_f32(idx m, idx n, idx k, const float* a, idx lda,
-                           const float* b, idx ldb, float* c, idx ldc);
-
-// C := -(A * B^T), overwriting C (need not be initialized).
-void gemm_nt_neg_raw_f32(idx m, idx n, idx k, const float* a, idx lda,
-                         const float* b, idx ldb, float* c, idx ldc);
-
-// B := B * L^{-T} with L k x k lower triangular (ldl), B m x k (ldb).
-void trsm_right_ltrans_f32(idx m, idx k, const float* l, idx ldl, float* b,
-                           idx ldb);
-
-// Guarded blocked fp32 Cholesky of the leading n x n lower triangle of `a`
-// (lda-strided). Same replacement semantics as potrf_lower_guarded: failing
-// pivots (threshold test in double) are replaced, their global columns
-// (base_col + local) appended to `adjusted`, the first bad value recorded in
-// *first_bad, count of replacements returned. Strict upper triangle zeroed.
-idx potrf_lower_guarded_f32(idx n, float* a, idx lda, const PivotControl& pc,
-                            idx base_col, std::vector<idx>& adjusted,
-                            double* first_bad);
 
 // Flop counts for the three ops, matching the conventions in DESIGN.md §5.
 // These feed both the work model used by the mapping heuristics and the

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -215,26 +216,38 @@ TEST(Integration, HeuristicRemappingImprovesMeanSimulatedPerformance) {
 // --- Mixed precision (fp32 factorization + fp64 refinement) ----------------
 
 TEST(Precision, Fp32RefineReachesFp64BackwardError) {
-  // The fp32 engine carries roughly half the significand, so the raw factor
+  // An fp32 factor carries roughly half the significand, so the raw factor
   // is only good to ~1e-7; the automatic fp64 refinement steps applied by
-  // solve() must pull the normwise backward error back to fp64 levels.
+  // solve() must pull the normwise backward error back to fp64 levels —
+  // from every factorization entry point, serial or parallel.
   LpGenOptions lpo;
   lpo.n = 400;
   const SymSparse cases[] = {make_grid3d(8, 8, 8),
                              make_lp_normal_equations(lpo)};
+  const std::pair<const char*, std::function<void(SparseCholesky&)>> entries[] = {
+      {"factorize", [](SparseCholesky& c) { c.factorize(); }},
+      {"factorize_parallel(1)", [](SparseCholesky& c) { c.factorize_parallel(1); }},
+      {"factorize_parallel(2)", [](SparseCholesky& c) { c.factorize_parallel(2); }},
+      {"factorize_parallel(4)", [](SparseCholesky& c) { c.factorize_parallel(4); }},
+      {"factorize_governed(1)", [](SparseCholesky& c) { c.factorize_governed(1); }},
+      {"factorize_governed(2)", [](SparseCholesky& c) { c.factorize_governed(2); }},
+      {"factorize_governed(4)", [](SparseCholesky& c) { c.factorize_governed(4); }},
+  };
   for (const SymSparse& a : cases) {
     SolverOptions opt;
     opt.precision = SolverOptions::Precision::kFp32Refine;
     SparseCholesky chol = SparseCholesky::analyze(a, opt);
-    chol.factorize();
-    EXPECT_TRUE(chol.factorize_info().fp32);
-    EXPECT_FALSE(chol.factorize_info().fp32_fallback);
-
     Rng rng(31);
     std::vector<double> b(static_cast<std::size_t>(a.num_rows()));
     for (double& v : b) v = rng.uniform(-1.0, 1.0);
-    const std::vector<double> x = chol.solve(b);
-    EXPECT_LE(solve_residual(a, x, b), 1e-10) << "n=" << a.num_rows();
+    for (const auto& [name, factor] : entries) {
+      factor(chol);
+      EXPECT_TRUE(chol.factorize_info().fp32) << name;
+      EXPECT_FALSE(chol.factorize_info().fp32_fallback) << name;
+      const std::vector<double> x = chol.solve(b);
+      EXPECT_LE(solve_residual(a, x, b), 1e-10)
+          << name << " n=" << a.num_rows();
+    }
   }
 }
 

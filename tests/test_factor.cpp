@@ -10,7 +10,6 @@
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
-#include "factor/fp32_factor.hpp"
 #include "factor/numeric_factor.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
@@ -214,8 +213,13 @@ std::uint64_t factor_hash(const BlockFactor& f) {
 }
 
 // Bitwise pins of the serial fp64 sweep, the serial fp32 sweep and the
-// one-thread work-stealing executor, recorded before the engines shared one
-// scalar-generic code path. Pinned on the scalar kernel table: its packed
+// one-thread work-stealing executor, recorded while fp32 still had its own
+// hand-copied engine and kernels; the scalar-generic code path reproduces
+// them bit for bit. The one-thread fp32 executor, which did not exist then,
+// is pinned as first recorded. (The executor is not bitwise equal to the
+// serial sweep at one thread: it sums a batch of updates into a destination
+// in scratch before adding it, so the two agree only within rounding.)
+// Pinned on the scalar kernel table: its packed
 // micro-kernel rounds every FMA exactly and its strided kernels are compiled
 // for the baseline ISA (no contraction), so the bits do not depend on the
 // host's vector extensions.
@@ -224,7 +228,7 @@ TEST(FactorGolden, ArenaHashesMatchRecorded) {
     const char* name;
     SymSparse a;
     PivotPolicy policy;
-    std::uint64_t fp64, fp32, parallel1;
+    std::uint64_t fp64, fp32, parallel1, parallel1_fp32;
   };
   LpGenOptions lp;
   lp.n = 700;
@@ -232,16 +236,18 @@ TEST(FactorGolden, ArenaHashesMatchRecorded) {
   Case cases[] = {
       {"CUBE30", make_bench_matrix("CUBE30", SuiteScale::kSmall).matrix,
        PivotPolicy::kStrict, 0x3b832ac18736e803ULL, 0xfe1fdddae4222295ULL,
-       0x7104b72d388d9460ULL},
+       0x7104b72d388d9460ULL, 0xcce4ff9a133c1721ULL},
       {"mesh", make_fem_mesh({80, 3, 3, 9.0, 77}), PivotPolicy::kStrict,
-       0x8360a7d4a7035988ULL, 0x4e6d8a9f6e1403cbULL, 0x25934512279c1371ULL},
+       0x8360a7d4a7035988ULL, 0x4e6d8a9f6e1403cbULL, 0x25934512279c1371ULL,
+       0xf9229805e2870641ULL},
       {"LP700", make_lp_normal_equations(lp), PivotPolicy::kStrict,
-       0xb3b59a9f57674b93ULL, 0xb499d25ce2914733ULL, 0x7f1af3c654f233bbULL},
+       0xb3b59a9f57674b93ULL, 0xb499d25ce2914733ULL, 0x7f1af3c654f233bbULL,
+       0x3f27d437b2a1fbe9ULL},
       {"indefinite mesh",
        make_fem_mesh({.nodes = 60, .dof = 2, .dim = 3, .avg_node_degree = 8.0,
                       .seed = 13, .spdize = false}),
        PivotPolicy::kPerturb, 0x9b73a3add48b0513ULL, 0xf6135fda30c86339ULL,
-       0x9b73a3add48b0513ULL},
+       0x9b73a3add48b0513ULL, 0xf6135fda30c86339ULL},
   };
   const KernelIsa saved = kernel_isa();
   ASSERT_TRUE(set_kernel_isa(KernelIsa::kScalar));
@@ -256,12 +262,16 @@ TEST(FactorGolden, ArenaHashesMatchRecorded) {
     const std::uint64_t fp64 = factor_hash(
         block_factorize(ap, chol.structure(), chol.task_graph(), fopt));
     const std::uint64_t fp32 = factor_hash(
-        block_factorize_fp32(ap, chol.structure(), chol.task_graph(), fopt));
+        block_factorize<float>(ap, chol.structure(), chol.task_graph(), fopt));
     const std::uint64_t par1 = factor_hash(
         block_factorize_parallel(ap, chol.structure(), chol.task_graph(), popt));
     EXPECT_EQ(fp64, c.fp64) << c.name << " fp64 0x" << std::hex << fp64;
     EXPECT_EQ(fp32, c.fp32) << c.name << " fp32 0x" << std::hex << fp32;
+    const std::uint64_t par1_fp32 = factor_hash(block_factorize_parallel<float>(
+        ap, chol.structure(), chol.task_graph(), popt));
     EXPECT_EQ(par1, c.parallel1) << c.name << " parallel1 0x" << std::hex << par1;
+    EXPECT_EQ(par1_fp32, c.parallel1_fp32)
+        << c.name << " parallel1 fp32 0x" << std::hex << par1_fp32;
   }
   set_kernel_isa(saved);
 }

@@ -12,7 +12,6 @@
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
-#include "factor/fp32_factor.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
@@ -179,30 +178,39 @@ TEST_F(FaultTest, KernelFaultSurfacesFromEveryEngine) {
 
 TEST_F(FaultTest, Fp32EngineSharesTheFaultSites) {
   if (!fault::compiled_in()) GTEST_SKIP() << "built with SPC_FAULTS=OFF";
-  // The fp32 engine reuses the fp64 engine's site keys (kKernel per task,
-  // kInput per scattered value), so the same armed plan must surface from
-  // both engines — and from the facade's fp32-refine path, where an injected
-  // kernel fault must NOT be confused with a numeric breakdown (no silent
-  // fp64 retry: kInjectedFault propagates).
+  // fp32 runs the fp64 engines' code with T = float, so it hits the same
+  // site keys (kKernel per task, kInput per scattered value): the same armed
+  // plan must surface from the serial sweep and the executor in fp32 — and
+  // from the facade's fp32-refine paths, where an injected kernel fault must
+  // NOT be confused with a numeric breakdown (no silent fp64 retry:
+  // kInjectedFault propagates).
   const Analyzed p = analyzed_mesh();
   const SymSparse& ap = p.chol.permuted_matrix();
+  const std::vector<std::function<void()>> engines = {
+      [&] { block_factorize<float>(ap, p.chol.structure(), p.chol.task_graph()); },
+      [&] {
+        ParallelFactorOptions popt;
+        popt.num_threads = 2;
+        block_factorize_parallel<float>(ap, p.chol.structure(),
+                                        p.chol.task_graph(), popt);
+      }};
+  for (const auto& engine : engines) {
+    fault::set_plan(single_site(Site::kKernel, 1.0, 3));
+    expect_kind(ErrorKind::kInjectedFault, "injected fault", engine);
+    EXPECT_GE(fault::injected(Site::kKernel), 1);
 
-  fault::set_plan(single_site(Site::kKernel, 1.0, 3));
-  expect_kind(ErrorKind::kInjectedFault, "injected fault", [&] {
-    block_factorize_fp32(ap, p.chol.structure(), p.chol.task_graph());
-  });
-  EXPECT_GE(fault::injected(Site::kKernel), 1);
-
-  fault::set_plan(single_site(Site::kInput, 1.0, 21));
-  expect_kind(ErrorKind::kNotPositiveDefinite, nullptr, [&] {
-    block_factorize_fp32(ap, p.chol.structure(), p.chol.task_graph());
-  });
+    fault::set_plan(single_site(Site::kInput, 1.0, 21));
+    expect_kind(ErrorKind::kNotPositiveDefinite, nullptr, engine);
+  }
 
   fault::set_plan(single_site(Site::kKernel, 1.0, 3));
   SolverOptions opt;
   opt.precision = SolverOptions::Precision::kFp32Refine;
   SparseCholesky chol = SparseCholesky::analyze(p.a, opt);
   expect_kind(ErrorKind::kInjectedFault, nullptr, [&] { chol.factorize(); });
+  expect_kind(ErrorKind::kInjectedFault, nullptr,
+              [&] { chol.factorize_parallel(2); });
+  EXPECT_FALSE(chol.factorize_info().fp32_fallback);
 }
 
 TEST_F(FaultTest, AllocFaultRaisesInjectedFault) {
@@ -219,20 +227,32 @@ TEST_F(FaultTest, Fp32ArenaAllocFaultSurfacesAndRetryRecovers) {
   if (!fault::compiled_in()) GTEST_SKIP() << "built with SPC_FAULTS=OFF";
   const Analyzed p = analyzed_mesh();
   const SymSparse& ap = p.chol.permuted_matrix();
-  fault::set_plan(single_site(Site::kAlloc, 1.0, 15));
-  expect_kind(ErrorKind::kInjectedFault, "fp32 arena", [&] {
-    block_factorize_fp32(ap, p.chol.structure(), p.chol.task_graph());
-  });
-  EXPECT_GE(fault::injected(Site::kAlloc), 1);
-  // The failed allocation left nothing behind: the same plan factorizes
-  // cleanly (and accurately) once the plan is disarmed.
-  fault::clear();
-  FactorizeInfo info;
-  const BlockFactor f =
-      block_factorize_fp32(ap, p.chol.structure(), p.chol.task_graph(), {},
-                           &info);
-  EXPECT_TRUE(info.fp32);
-  EXPECT_LT(factor_residual_probe(ap, f), 1e-3);  // fp32 accuracy
+  // The serial sweep, then the executor on one workspace reused across the
+  // failed and the recovering run.
+  ParallelWorkspace ws(p.chol.structure(), p.chol.task_graph());
+  for (const int threads : {0, 2}) {
+    FactorizeInfo info;
+    auto factor = [&] {
+      if (threads == 0) {
+        return block_factorize<float>(ap, p.chol.structure(),
+                                      p.chol.task_graph(), {}, &info);
+      }
+      ParallelFactorOptions popt;
+      popt.num_threads = threads;
+      popt.info = &info;
+      return block_factorize_parallel<float>(ap, p.chol.structure(),
+                                             p.chol.task_graph(), popt, &ws);
+    };
+    fault::set_plan(single_site(Site::kAlloc, 1.0, 15));
+    expect_kind(ErrorKind::kInjectedFault, "fp32 arena", [&] { factor(); });
+    EXPECT_GE(fault::injected(Site::kAlloc), 1) << "threads=" << threads;
+    // The failed allocation left nothing behind: the same plan factorizes
+    // cleanly (and accurately) once the plan is disarmed.
+    fault::clear();
+    const BlockFactor f = factor();
+    EXPECT_TRUE(info.fp32) << "threads=" << threads;
+    EXPECT_LT(factor_residual_probe(ap, f), 1e-3);  // fp32 accuracy
+  }
 }
 
 TEST_F(FaultTest, SolveWorkspaceAllocFaultLeavesWorkspaceReusable) {

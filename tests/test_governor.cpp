@@ -244,6 +244,24 @@ TEST_F(GovernorTest, CleanGovernedRunHasEmptyPathAndDrainsAccounting) {
   EXPECT_EQ(budget->in_use_bytes(), 0);
 }
 
+// The fp32 path holds the fp32 arena and the promoted fp64 arena at once;
+// the estimate the ladder admits fp32 runs by must bound that peak too.
+TEST_F(GovernorTest, Fp32GovernedPeakStaysUnderTheEstimate) {
+  const SymSparse a = governed_mesh();
+  for (const int threads : {1, 2}) {
+    SolverOptions opt;
+    opt.precision = SolverOptions::Precision::kFp32Refine;
+    SparseCholesky chol = SparseCholesky::analyze(a, opt);
+    chol.factorize_governed(threads);
+    EXPECT_TRUE(chol.factorize_info().fp32) << threads;
+    EXPECT_TRUE(chol.factorize_info().degrade_path.empty());
+    const std::shared_ptr<MemoryBudget>& budget = chol.memory_budget();
+    EXPECT_GT(budget->peak_bytes(), 0);
+    EXPECT_GE(chol.estimate_factor_bytes(threads), budget->peak_bytes())
+        << threads;
+  }
+}
+
 // The one-argument solve(b) is the governed solve: it must charge the
 // solver's budget for its workspace exactly as solve(b, SolveOptions{}) does
 // on an identical facade, and return the bitwise-same solution.
@@ -302,23 +320,26 @@ TEST_F(GovernorTest, Fp32BreakdownTakesTheFp32Rung) {
   // b = 1 - 2^-25 rounds to exactly 1.0f: the fp32 Schur complement of the
   // trailing pivot is 0 (strict breakdown) while fp64 stays positive. The
   // governed ladder must retry in fp64 and record the rung.
+  // Serial and parallel engines alike.
   const double b01 = 1.0 - std::ldexp(1.0, -25);
   const SymSparse a = SymSparse::from_entries(2, {1.0, 1.0}, {{1, 0}}, {b01});
-  SolverOptions opt;
-  opt.precision = SolverOptions::Precision::kFp32Refine;
-  opt.ordering = SolverOptions::Ordering::kNatural;
-  SparseCholesky chol = SparseCholesky::analyze(a, opt);
-  chol.factorize_governed(1);
-  ASSERT_EQ(chol.factorize_info().degrade_path.size(), 1u);
-  EXPECT_EQ(chol.factorize_info().degrade_path[0], DegradeRung::kFp32ToFp64);
-  EXPECT_TRUE(chol.factorize_info().fp32_fallback);
-  EXPECT_FALSE(chol.factorize_info().fp32);
-  // The degraded configuration sticks for later refactorizations.
-  EXPECT_EQ(chol.options().precision, SolverOptions::Precision::kFp64);
+  for (const int threads : {1, 2}) {
+    SolverOptions opt;
+    opt.precision = SolverOptions::Precision::kFp32Refine;
+    opt.ordering = SolverOptions::Ordering::kNatural;
+    SparseCholesky chol = SparseCholesky::analyze(a, opt);
+    chol.factorize_governed(threads);
+    ASSERT_EQ(chol.factorize_info().degrade_path.size(), 1u) << threads;
+    EXPECT_EQ(chol.factorize_info().degrade_path[0], DegradeRung::kFp32ToFp64);
+    EXPECT_TRUE(chol.factorize_info().fp32_fallback);
+    EXPECT_FALSE(chol.factorize_info().fp32);
+    // The degraded configuration sticks for later refactorizations.
+    EXPECT_EQ(chol.options().precision, SolverOptions::Precision::kFp64);
 
-  const std::vector<double> b = {1.0, -1.0};
-  const std::vector<double> x = chol.solve(b);
-  EXPECT_LE(solve_residual(a, x, b), 1e-12);
+    const std::vector<double> b = {1.0, -1.0};
+    const std::vector<double> x = chol.solve(b);
+    EXPECT_LE(solve_residual(a, x, b), 1e-12);
+  }
 }
 
 // --- Governed factorization: injected pressure walks the ladder ------------

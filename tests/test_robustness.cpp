@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/fp32_factor.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
 #include "factor/task_run.hpp"
@@ -458,7 +457,7 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
   const idx col = breakdown_column(
       [&] { block_factorize(ap, chol.structure(), chol.task_graph()); });
   EXPECT_EQ(breakdown_column([&] {
-              block_factorize_fp32(ap, chol.structure(), chol.task_graph());
+              block_factorize<float>(ap, chol.structure(), chol.task_graph());
             }),
             col);
   for (int threads : {1, 2, 4, 8}) {
@@ -470,6 +469,12 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
               }),
               col)
         << "threads=" << threads;
+    EXPECT_EQ(breakdown_column([&] {
+                block_factorize_parallel<float>(ap, chol.structure(),
+                                                chol.task_graph(), popt);
+              }),
+              col)
+        << "fp32 threads=" << threads;
   }
 }
 
@@ -489,7 +494,7 @@ TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
             static_cast<i64>(ref.perturbed_cols.size()));
 
   FactorizeInfo fp32;
-  block_factorize_fp32(ap, chol.structure(), chol.task_graph(), fopt, &fp32);
+  block_factorize<float>(ap, chol.structure(), chol.task_graph(), fopt, &fp32);
   EXPECT_EQ(fp32.perturbed_cols, ref.perturbed_cols);
 
   for (int threads : {1, 2, 4, 8}) {
@@ -501,6 +506,13 @@ TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
     block_factorize_parallel(ap, chol.structure(), chol.task_graph(), popt);
     EXPECT_EQ(par.perturbed_cols, ref.perturbed_cols)
         << "threads=" << threads;
+    FactorizeInfo par32;
+    popt.info = &par32;
+    block_factorize_parallel<float>(ap, chol.structure(), chol.task_graph(),
+                                    popt);
+    EXPECT_EQ(par32.perturbed_cols, ref.perturbed_cols)
+        << "fp32 threads=" << threads;
+    EXPECT_TRUE(par32.fp32);
   }
 }
 

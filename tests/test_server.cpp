@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "factor/residual.hpp"
 #include "gen/grid_gen.hpp"
 #include "server/event_loop.hpp"
 #include "server/protocol.hpp"
@@ -546,6 +547,53 @@ TEST(Server, BatchedSolveBitwiseMatchesSolo) {
                                solo[i].size() * sizeof(double)))
           << "solution " << i << " changed bits when batched";
     }
+  }
+}
+
+// spcd --precision fp32-refine: the lazy factorization behind a batched
+// solve runs at the default factor_threads (0 = hardware concurrency, the
+// parallel executor), which must still compute the factor in fp32, and the
+// batch must refine back to fp64 accuracy.
+TEST(Server, Fp32RefineHoldsAtDefaultFactorThreads) {
+  const SymSparse a = test_matrix();
+  const int k = 4;
+  ServerConfig cfg;
+  ASSERT_EQ(cfg.factor_threads, 0);
+  cfg.batch.nrhs_block = k;
+  cfg.batch.window_s = 10.0;  // flush only when all requests are queued
+  Server srv(cfg);
+  SolverOptions opt;
+  opt.precision = SolverOptions::Precision::kFp32Refine;
+  const AnalyzeReply ar = srv.analyze(a, opt);
+  std::vector<std::vector<double>> rhs, x(k);
+  for (int i = 0; i < k; ++i) rhs.push_back(random_rhs(a.num_rows(), 40 + i));
+  spc::Mutex mu;
+  spc::CondVar cv;
+  int done = 0;
+  for (int i = 0; i < k; ++i) {
+    srv.solve_async(ar.key, rhs[i], -1.0,
+                    [&, i](std::vector<double> xi, std::exception_ptr err) {
+                      ASSERT_EQ(err, nullptr);
+                      spc::LockGuard lock(mu);
+                      x[i] = std::move(xi);
+                      ++done;
+                      cv.notify_all();
+                    });
+  }
+  mu.lock();
+  while (done < k) cv.wait(mu);
+  mu.unlock();
+
+  EXPECT_EQ(srv.stats().batches, 1);
+  const auto entry = srv.registry().find(ar.key);
+  ASSERT_NE(entry, nullptr);
+  {
+    spc::LockGuard lock(entry->mu);
+    EXPECT_TRUE(entry->solver.factorize_info().fp32);
+    EXPECT_FALSE(entry->solver.factorize_info().fp32_fallback);
+  }
+  for (int i = 0; i < k; ++i) {
+    EXPECT_LE(solve_residual(a, x[i], rhs[i]), 1e-10) << "request " << i;
   }
 }
 

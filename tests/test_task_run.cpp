@@ -370,30 +370,45 @@ TEST_F(ProfileDump, SolveMultiAccumulatesPanels) {
 
 // --- Governed footprint ------------------------------------------------------
 
-// estimate_parallel_factor_bytes is registry admission's oracle. These byte
-// counts were recorded before the workspace and the estimate were derived
-// from one sizing function; the derivation must not move them.
+// estimate_parallel_factor_bytes is registry admission's oracle. The fp64
+// byte counts were recorded before the workspace and the estimate were
+// derived from one sizing function; the derivation must not move them. The
+// fp32 counts add the fp32 arena (4 bytes per arena element) that lives
+// alongside the promoted fp64 one.
 TEST(FactorFootprint, EstimatesArePinned) {
   LpGenOptions lo;
   lo.n = 2000;
-  const SparseCholesky lp = SparseCholesky::analyze(make_lp_normal_equations(lo));
-  const SparseCholesky mesh = SparseCholesky::analyze(make_fem_mesh({}));
+  const SymSparse lp = make_lp_normal_equations(lo);
+  const SymSparse mesh = make_fem_mesh({});
   const BenchMatrix cm = make_bench_matrix("CUBE30", SuiteScale::kSmall);
-  const SparseCholesky cube =
-      SparseCholesky::analyze_ordered(cm.matrix, order_bench_matrix(cm));
   struct Pinned {
-    const SparseCholesky* chol;
-    i64 bytes[3];  // at 1, 2 and 4 threads
+    const char* name;
+    i64 bytes[3];       // at 1, 2 and 4 threads, fp64
+    i64 fp32_bytes[3];  // the same under Precision::kFp32Refine
   };
   const Pinned pinned[] = {
-      {&lp, {736316, 761956, 813236}},
-      {&mesh, {5348124, 5384988, 5458716}},
-      {&cube, {83164, 93164, 113164}},
+      {"LP2000", {736316, 761956, 813236}, {1025116, 1050756, 1102036}},
+      {"mesh", {5348124, 5384988, 5458716}, {7655516, 7692380, 7766108}},
+      {"CUBE30", {83164, 93164, 113164}, {111612, 121612, 141612}},
   };
   for (const Pinned& p : pinned) {
-    EXPECT_EQ(p.chol->estimate_factor_bytes(1), p.bytes[0]);
-    EXPECT_EQ(p.chol->estimate_factor_bytes(2), p.bytes[1]);
-    EXPECT_EQ(p.chol->estimate_factor_bytes(4), p.bytes[2]);
+    for (const auto precision : {SolverOptions::Precision::kFp64,
+                                 SolverOptions::Precision::kFp32Refine}) {
+      SolverOptions opt;
+      opt.precision = precision;
+      const std::string name(p.name);
+      const SparseCholesky chol =
+          name == "LP2000" ? SparseCholesky::analyze(lp, opt)
+          : name == "mesh" ? SparseCholesky::analyze(mesh, opt)
+                           : SparseCholesky::analyze_ordered(
+                                 cm.matrix, order_bench_matrix(cm), opt);
+      const i64* want = precision == SolverOptions::Precision::kFp64
+                            ? p.bytes
+                            : p.fp32_bytes;
+      EXPECT_EQ(chol.estimate_factor_bytes(1), want[0]) << name;
+      EXPECT_EQ(chol.estimate_factor_bytes(2), want[1]) << name;
+      EXPECT_EQ(chol.estimate_factor_bytes(4), want[2]) << name;
+    }
   }
 }
 

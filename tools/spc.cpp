@@ -15,9 +15,10 @@
 //                panel/parallel solve path and print a timing table)
 //   spc simulate <matrix> [--procs P] [--rows CY|DW|IN|DN|ID] [--cols ...]
 //                [--no-domains] [--priority] [--timeline]
-//   spc engines  <matrix> [--threads N[,N...]]   (times the serial
-//                right-looking factor, then sweeps the parallel executor
-//                over the thread counts with one warm workspace)
+//   spc engines  <matrix> [--threads N[,N...]] [--precision fp64|fp32-refine]
+//                (times the serial right-looking factor, then sweeps the
+//                parallel executor over the thread counts with one warm
+//                workspace, both in the requested precision)
 //   spc suite    [--scale small|medium|full]
 //   spc soak     <matrix> [--iters N] [--seed S] [--mem-budget-mb MB]
 //                [--deadline-ms MS]   (N randomized governed requests
@@ -207,39 +208,53 @@ int cmd_engines(const Args& args) {
   const SparseCholesky chol = analyze_from_args(args, m);
   const std::vector<int> threads_list =
       cli::parse_int_list(args.get("threads", "4"));
-  std::printf("%s: comparing numeric engines (%d equations, %.1f Mops)\n",
-              m.name.c_str(), m.a.num_rows(),
+  const bool fp32 =
+      chol.options().precision == SolverOptions::Precision::kFp32Refine;
+  std::printf("%s: comparing numeric engines, precision %s (%d equations, "
+              "%.1f Mops)\n",
+              m.name.c_str(), fp32 ? "fp32-refine" : "fp64", m.a.num_rows(),
               static_cast<double>(chol.factor_flops_exact()) / 1e6);
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    const BlockFactor f =
-        block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    std::printf("  %-22s %8.3f s   residual %.1e\n", "right-looking", secs,
-                factor_residual_probe(chol.permuted_matrix(), f));
-  }
-  // Thread sweep over the parallel executor, reusing one workspace so only
-  // the first run pays the plan/scratch set-up.
-  ParallelWorkspace ws(chol.structure(), chol.task_graph());
-  double t1 = 0;
-  for (int threads : threads_list) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const BlockFactor f = block_factorize_parallel(
-        chol.permuted_matrix(), chol.structure(), chol.task_graph(),
-        ParallelFactorOptions{threads}, &ws);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (threads == threads_list.front()) t1 = secs * threads_list.front();
-    char label[64];
-    std::snprintf(label, sizeof(label), "parallel (%d threads)", threads);
-    std::printf("  %-22s %8.3f s   residual %.1e", label, secs,
-                factor_residual_probe(chol.permuted_matrix(), f));
-    if (threads_list.size() > 1 && secs > 0) {
-      std::printf("   efficiency %.2f", t1 / (secs * threads));
+  // Both engines in the requested element type; the residuals are those of
+  // the raw factor, before any refinement.
+  auto time_engines = [&](auto zero) {
+    using T = decltype(zero);
+    {
+      const auto t0 = std::chrono::steady_clock::now();
+      const BlockFactor f = block_factorize<T>(
+          chol.permuted_matrix(), chol.structure(), chol.task_graph());
+      const double secs =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      std::printf("  %-22s %8.3f s   residual %.1e\n", "right-looking", secs,
+                  factor_residual_probe(chol.permuted_matrix(), f));
     }
-    std::printf("\n");
+    // Thread sweep over the parallel executor, reusing one workspace so only
+    // the first run pays the plan/scratch set-up.
+    ParallelWorkspace ws(chol.structure(), chol.task_graph());
+    double t1 = 0;
+    for (int threads : threads_list) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const BlockFactor f = block_factorize_parallel<T>(
+          chol.permuted_matrix(), chol.structure(), chol.task_graph(),
+          ParallelFactorOptions{threads}, &ws);
+      const double secs =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      if (threads == threads_list.front()) t1 = secs * threads_list.front();
+      char label[64];
+      std::snprintf(label, sizeof(label), "parallel (%d threads)", threads);
+      std::printf("  %-22s %8.3f s   residual %.1e", label, secs,
+                  factor_residual_probe(chol.permuted_matrix(), f));
+      if (threads_list.size() > 1 && secs > 0) {
+        std::printf("   efficiency %.2f", t1 / (secs * threads));
+      }
+      std::printf("\n");
+    }
+  };
+  if (fp32) {
+    time_engines(0.0f);
+  } else {
+    time_engines(0.0);
   }
   return 0;
 }
