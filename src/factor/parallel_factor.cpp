@@ -223,9 +223,9 @@ namespace {
 // d's lock once per batch. Priorities are the critical-path heights from
 // factor/scheduler.hpp; ready batches are pushed in ascending priority so
 // each deque's LIFO end holds its most critical task, and thieves pick
-// victims by the deques' priority hints.
+// victims by the deques' priority hints. The caller prepares the workspace
+// (prepare_run) before constructing the executor.
 // ---------------------------------------------------------------------------
-// The workspace must be prepared for the run before construction.
 template <class T>
 class WorkStealingExecutor {
  public:

@@ -35,7 +35,6 @@
 #include "factor/scheduler.hpp"
 #include "graph/graph.hpp"
 #include "mapping/subcube.hpp"
-#include "linalg/dense_matrix.hpp"
 #include "support/sync.hpp"
 #include "support/types.hpp"
 

@@ -70,7 +70,7 @@ class DenseMatrix {
   // Pre-allocates backing storage for `rows * cols` elements without changing
   // the logical shape. resize() never shrinks capacity, so a buffer reserved
   // to its high-water size is allocation-free from then on (the parallel
-  // executor uses this for per-worker scratch). Detaches a view.
+  // solve uses this for per-worker scratch). Detaches a view.
   void reserve(idx rows, idx cols);
 
   // Frobenius norm.
