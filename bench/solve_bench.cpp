@@ -2,8 +2,10 @@
 // parallel executor (factor/parallel_solve.hpp), on the regular CUBE and
 // irregular LP families, across RHS counts 1/4/16/64 and a thread sweep.
 //
-// "panel"    = block_solve_multi: the factor walked once per panel of RHS
-//              columns, TRSM/GEMM panel kernels.
+// "panel"    = block_solve_multi_parallel at threads = 1 with no workspace
+//              passed in (a one-shot serial solve, which builds its own):
+//              the factor walked once per panel of RHS columns, TRSM/GEMM
+//              panel kernels.
 // "parallel" = block_solve_multi_parallel at each thread count, reusing one
 //              SolveWorkspace; a separately profiled run reports the
 //              forward/backward/scatter/idle phase split.
@@ -31,7 +33,6 @@
 
 #include "bench_common.hpp"
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/block_solve.hpp"  // block_solve_multi
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
 #include "gen/grid_gen.hpp"
@@ -141,8 +142,8 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
 
     DenseMatrix x = b;
     // Panel and 1-thread parallel execute the identical kernel sequence, so
-    // their ratio is the executor's pure overhead. Interleave the timed reps
-    // so host drift (this container shares cores with other jobs) hits both
+    // their ratio is the cost of building the workspace per call. Interleave
+    // the timed reps so host drift (other jobs sharing the cores) hits both
     // paths equally instead of biasing whichever ran second.
     const auto time_once = [](auto&& fn) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -158,7 +159,7 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
     for (int rep = 0; rep < pair_reps; ++rep) {
       t_panel[rep] = time_once([&] {
         x = b;
-        block_solve_multi(f, x);
+        block_solve_multi_parallel(f, x, opt1);
       });
       t_par1[rep] = time_once([&] {
         x = b;
@@ -172,7 +173,7 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
     // Residual checked after the thread sweep: the sparse multiply would
     // otherwise evict the factor from cache mid-measurement.
     x = b;
-    block_solve_multi(f, x);
+    block_solve_multi_parallel(f, x, opt1);
     const DenseMatrix x_panel = x;
 
     std::printf("  nrhs=%-3lld panel %.4fs\n", static_cast<long long>(nrhs),
@@ -228,8 +229,9 @@ void write_json(const std::string& path,
                std::thread::hardware_concurrency());
   std::fprintf(jf, "  \"seed_record\": \"%s\",\n", kSeedRecord);
   std::fprintf(jf,
-               "  \"panel_impl\": \"block_solve_multi (TRSM/GEMM panel "
-               "kernels, factor walked once per panel)\",\n");
+               "  \"panel_impl\": \"block_solve_multi_parallel, 1 thread, "
+               "workspace built per call (TRSM/GEMM panel kernels, factor "
+               "walked once per panel)\",\n");
   std::fprintf(jf,
                "  \"parallel_impl\": \"DAG-scheduled executor on "
                "work-stealing deques, per-worker accumulators\",\n");

@@ -25,15 +25,38 @@ i64 BlockStructure::stored_entries() const {
 }
 
 void BlockStructure::validate() const {
+  // Sizes and ranges first, so a corrupt structure (a loaded file) fails a
+  // check instead of indexing out of bounds.
+  SPC_CHECK(!part.first_col.empty() && part.first_col[0] == 0,
+            "BlockStructure: partition does not start at column 0");
   const idx nb = num_block_cols();
+  const idx n = part.num_cols();
+  SPC_CHECK(static_cast<idx>(part.block_of_col.size()) == n &&
+                static_cast<idx>(part.sn_of_block.size()) == nb,
+            "BlockStructure: bad partition array sizes");
+  for (idx j = 0; j < nb; ++j) {
+    SPC_CHECK(part.width(j) > 0, "BlockStructure: empty block column");
+    for (idx c = part.first_col[j]; c < part.first_col[j + 1]; ++c) {
+      SPC_CHECK(part.block_of_col[c] == j, "BlockStructure: column in wrong block");
+    }
+  }
   SPC_CHECK(static_cast<idx>(rowptr.size()) == nb + 1 &&
                 static_cast<idx>(blkptr.size()) == nb + 1,
             "BlockStructure: bad pointer array sizes");
+  SPC_CHECK(rowptr[0] == 0 && rowptr[nb] == static_cast<i64>(rowidx.size()) &&
+                blkptr[0] == 0 && blkptr[nb] == static_cast<i64>(blkrow.size()) &&
+                blkoff.size() == blkrow.size() && blkcnt.size() == blkrow.size(),
+            "BlockStructure: bad entry array sizes");
+  for (idx j = 0; j < nb; ++j) {
+    SPC_CHECK(rowptr[j] <= rowptr[j + 1] && blkptr[j] <= blkptr[j + 1],
+              "BlockStructure: pointers not ascending");
+  }
   for (idx j = 0; j < nb; ++j) {
     idx prev_row = kNone;
     for (i64 r = rowptr[j]; r < rowptr[j + 1]; ++r) {
       SPC_CHECK(rowidx[r] > prev_row, "BlockStructure: rows not ascending");
       SPC_CHECK(rowidx[r] >= part.first_col[j + 1], "BlockStructure: row above block");
+      SPC_CHECK(rowidx[r] < n, "BlockStructure: row out of range");
       prev_row = rowidx[r];
     }
     i64 covered = 0;
@@ -42,7 +65,9 @@ void BlockStructure::validate() const {
       SPC_CHECK(blkrow[e] > prev_blk && blkrow[e] > j,
                 "BlockStructure: block rows not ascending");
       SPC_CHECK(blkcnt[e] > 0, "BlockStructure: empty block entry");
-      SPC_CHECK(blkoff[e] == rowptr[j] + covered, "BlockStructure: bad offsets");
+      SPC_CHECK(blkoff[e] == rowptr[j] + covered &&
+                    blkcnt[e] <= rowptr[j + 1] - blkoff[e],
+                "BlockStructure: bad offsets");
       for (idx k = 0; k < blkcnt[e]; ++k) {
         SPC_CHECK(part.block_of_col[rowidx[blkoff[e] + k]] == blkrow[e],
                   "BlockStructure: row in wrong block");

@@ -42,6 +42,8 @@ struct BlockStructure {
   // Total stored factor entries (diagonal triangles + dense block rows).
   i64 stored_entries() const;
 
+  // Throws Error on the first inconsistency. Checks sizes and ranges before
+  // it indexes, so it is safe on untrusted arrays (a loaded factor file).
   void validate() const;
 };
 

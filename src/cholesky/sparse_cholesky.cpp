@@ -1,9 +1,7 @@
 #include "cholesky/sparse_cholesky.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <thread>
 
 #include "factor/parallel_factor.hpp"
 #include "graph/permutation.hpp"
@@ -274,14 +272,10 @@ void SparseCholesky::factorize_governed(int num_threads) {
         }
       } else if (kind == ErrorKind::kInjectedFault ||
                  kind == ErrorKind::kInternal) {
-        // Possibly-transient executor faults: one same-configuration retry
-        // (with optional backoff), then fall back to the serial engine.
+        // Possibly-transient executor faults: one same-configuration retry,
+        // then fall back to the serial engine.
         if (!transient_retried) {
           transient_retried = true;
-          if (pol.backoff_s > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(pol.backoff_s));
-          }
           rung = governor::DegradeRung::kRetryTransient;
           have_rung = true;
         } else if (pol.allow_degrade && parallel) {
@@ -382,19 +376,17 @@ void SparseCholesky::solve_multi(DenseMatrix& b, const SolveOptions& opt) const 
   const idx n = b.rows();
   governor::Deadline dl;
   const SolveOptions gopt = governed(opt, dl);
-  // Stage the permuted panel in the workspace's persistent buffer, solve in
+  // Stage the permuted panel in the workspace's persistent panel, solve in
   // place (block_solve_multi_parallel panels it by opt.nrhs_block), then
   // permute back — zero allocation at steady state. Growth is charged
   // against the budget (and covered by the SPC_FAULT alloc site).
-  const i64 elems = static_cast<i64>(n) * static_cast<i64>(b.cols());
-  ws.stage_rhs(elems, gopt.budget);
+  ws.stage_rhs(n, b.cols(), gopt.budget);
+  DenseMatrix& staged = ws.rhs;
   for (idx c = 0; c < b.cols(); ++c) {
     const double* src = b.col(c);
-    double* dst = ws.rhs.data() + static_cast<std::size_t>(c) * n;
+    double* dst = staged.col(c);
     for (idx k = 0; k < n; ++k) dst[k] = src[perm_[k]];
   }
-  DenseMatrix staged;
-  staged.attach(ws.rhs.data(), n, b.cols());
   block_solve_multi_parallel(*factor_, staged, gopt, &ws);
   if (const int steps = auto_refine_steps(info_); steps > 0) {
     // Column-wise refinement against the unperturbed A (docs/ROBUSTNESS.md);
@@ -403,7 +395,7 @@ void SparseCholesky::solve_multi(DenseMatrix& b, const SolveOptions& opt) const 
     std::vector<double> px(static_cast<std::size_t>(n));
     for (idx c = 0; c < b.cols(); ++c) {
       const double* src = b.col(c);
-      double* sc = ws.rhs.data() + static_cast<std::size_t>(c) * n;
+      double* sc = staged.col(c);
       for (idx k = 0; k < n; ++k) pb[static_cast<std::size_t>(k)] = src[perm_[k]];
       std::copy(sc, sc + n, px.begin());
       for (int it = 0; it < steps; ++it) {
@@ -414,7 +406,7 @@ void SparseCholesky::solve_multi(DenseMatrix& b, const SolveOptions& opt) const 
   }
   for (idx c = 0; c < b.cols(); ++c) {
     double* dst = b.col(c);
-    const double* src = ws.rhs.data() + static_cast<std::size_t>(c) * n;
+    const double* src = staged.col(c);
     for (idx k = 0; k < n; ++k) dst[perm_[k]] = src[k];
   }
 }

@@ -349,18 +349,17 @@ DistributedFactorResult DistributedExecutor::run() {
               "distributed: deadlock — block never completed");
   }
 
-  DistributedFactorResult result;
-  result.factor.structure = &bs_;
-  result.factor.diag.resize(static_cast<std::size_t>(nb_));
-  result.factor.offdiag.resize(static_cast<std::size_t>(bs_.num_entries()));
+  // Gather each owner's final blocks into one factor arena.
+  const BlockArenaLayout layout = compute_block_arena_layout(bs_);
+  const FactorArena<double> arena(bs_, layout, nullptr);
   for (block_id b = 0; b < num_blocks_; ++b) {
-    DenseMatrix& blk = local_block(owner_[static_cast<std::size_t>(b)], b);
-    if (b < nb_) {
-      result.factor.diag[static_cast<std::size_t>(b)] = std::move(blk);
-    } else {
-      result.factor.offdiag[static_cast<std::size_t>(b - nb_)] = std::move(blk);
-    }
+    const DenseMatrix& blk = local_block(owner_[static_cast<std::size_t>(b)], b);
+    std::copy(blk.data(),
+              blk.data() + static_cast<std::size_t>(blk.rows()) * blk.cols(),
+              arena.block(b));
   }
+  DistributedFactorResult result;
+  result.factor = arena.to_factor();
   result.messages = messages_;
   result.bytes = bytes_;
   result.aggregates = aggregates_;

@@ -5,6 +5,7 @@
 #include <new>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "linalg/kernels.hpp"
 #include "support/error.hpp"
@@ -96,7 +97,8 @@ double BlockFactor::entry(idx r, idx c) const {
   const idx j = bs.part.block_of_col[c];
   const idx cj = c - bs.part.first_col[j];
   if (bs.part.block_of_col[r] == j) {
-    return diag[static_cast<std::size_t>(j)](r - bs.part.first_col[j], cj);
+    return diag(j)[static_cast<std::size_t>(cj) * bs.part.width(j) +
+                   (r - bs.part.first_col[j])];
   }
   const i64 e = bs.find_entry(j, bs.part.block_of_col[r]);
   if (e == kNone) return 0.0;
@@ -104,7 +106,7 @@ double BlockFactor::entry(idx r, idx c) const {
   const idx* end = bs.entry_rows_end(e);
   const idx* it = std::lower_bound(rows, end, r);
   if (it == end || *it != r) return 0.0;
-  return offdiag[static_cast<std::size_t>(e)](static_cast<idx>(it - rows), cj);
+  return offdiag(e)[static_cast<std::size_t>(cj) * bs.blkcnt[e] + (it - rows)];
 }
 
 BlockArenaLayout compute_block_arena_layout(const BlockStructure& bs) {
@@ -196,27 +198,16 @@ template <class T>
 BlockFactor FactorArena<T>::to_factor() const {
   BlockFactor f;
   f.structure = bs;
-  f.arena_elems = layout->total;
+  f.layout = *layout;
   if constexpr (std::is_same_v<T, double>) {
     f.arena = data;
   } else {
     // Exact: every float is a double. The layouts share element offsets, so
     // promotion is one linear pass (init zeroed the padding too).
-    f.arena = allocate_arena<double>(layout->total, budget);
-    std::copy(data.get(), data.get() + layout->total, f.arena.get());
-  }
-  const idx nb = bs->num_block_cols();
-  f.diag.resize(static_cast<std::size_t>(nb));
-  f.offdiag.resize(static_cast<std::size_t>(bs->num_entries()));
-  double* base = f.arena.get();
-  for (idx j = 0; j < nb; ++j) {
-    const idx w = bs->part.width(j);
-    f.diag[static_cast<std::size_t>(j)].attach(
-        base + layout->diag_off[static_cast<std::size_t>(j)], w, w);
-    for (i64 e = bs->blkptr[j]; e < bs->blkptr[j + 1]; ++e) {
-      f.offdiag[static_cast<std::size_t>(e)].attach(
-          base + layout->entry_off[static_cast<std::size_t>(e)], bs->blkcnt[e], w);
-    }
+    std::shared_ptr<double[]> promoted =
+        allocate_arena<double>(layout->total, budget);
+    std::copy(data.get(), data.get() + layout->total, promoted.get());
+    f.arena = std::move(promoted);
   }
   return f;
 }

@@ -123,24 +123,6 @@ class PivotEnv {
   ErrorContext breakdown_ctx_ SPC_GUARDED_BY(mutex_);
 };
 
-struct BlockFactor {
-  const BlockStructure* structure = nullptr;  // non-owning
-  std::vector<DenseMatrix> diag;     // per block column: w x w
-  std::vector<DenseMatrix> offdiag;  // per entry: cnt x w
-
-  // Pooled block storage: when the factor comes from an engine the matrices
-  // above are views into this single 64-byte-aligned allocation (one
-  // contiguous segment per block column — see BlockArenaLayout), which
-  // replaces thousands of per-block heap buffers. deserialize, which builds
-  // owning blocks directly, leaves it null.
-  std::shared_ptr<double[]> arena;
-  i64 arena_elems = 0;
-
-  // Entry (global row r, global col c) of the factor, 0 if structurally zero.
-  // For validation / small-matrix use only (does a per-call search).
-  double entry(idx r, idx c) const;
-};
-
 // Offsets (in elements) of every block inside the pooled factor arena.
 // Blocks are laid out column by column — the diagonal block of column J
 // first, then J's off-diagonal entries in blkptr order — each segment
@@ -151,6 +133,29 @@ struct BlockArenaLayout {
   i64 total = 0;               // elements, alignment padding included
 };
 
+// A finished fp64 factor: one arena of dense, row-compressed blocks laid
+// out by a BlockArenaLayout (§2.2). The diagonal block of column j is
+// w x w with leading dimension w (w = structure->part.width(j)); entry e
+// is blkcnt[e] x w with leading dimension blkcnt[e]. The storage is shared
+// and const: copies of a factor alias one arena, and nothing writes to it
+// once an engine (or the loader) has built it.
+struct BlockFactor {
+  const BlockStructure* structure = nullptr;  // non-owning
+  BlockArenaLayout layout;
+  std::shared_ptr<const double[]> arena;
+
+  const double* diag(idx j) const {
+    return arena.get() + layout.diag_off[static_cast<std::size_t>(j)];
+  }
+  const double* offdiag(i64 e) const {
+    return arena.get() + layout.entry_off[static_cast<std::size_t>(e)];
+  }
+
+  // Entry (global row r, global col c) of the factor, 0 if structurally zero.
+  // For validation / small-matrix use only (does a per-call search).
+  double entry(idx r, idx c) const;
+};
+
 BlockArenaLayout compute_block_arena_layout(const BlockStructure& bs);
 
 // The factor arena of one run in element type T (double or float): one
@@ -158,7 +163,8 @@ BlockArenaLayout compute_block_arena_layout(const BlockStructure& bs);
 // addressing. The diagonal block of column j is width x width (leading
 // dimension width); entry e is blkcnt[e] x width (leading dimension
 // blkcnt[e]). Every engine factors on one of these, so each block operation
-// below exists once for both precisions.
+// below exists once for both precisions; the loader and the distributed
+// executor fill one too, so every BlockFactor comes out of to_factor().
 template <class T>
 struct FactorArena {
   // Allocates the arena, contents uninitialized (init_block_column fills
@@ -179,10 +185,10 @@ struct FactorArena {
     return b < nb ? diag(static_cast<idx>(b)) : entry(b - nb);
   }
 
-  // The finished factor as the fp64 BlockFactor every solve reads: this
-  // storage itself for T = double; for T = float an exact promotion into a
-  // fresh (charged) double arena, so the fp64 solve and refinement apply
-  // unchanged.
+  // The finished factor as the fp64 BlockFactor every solve reads: for
+  // T = double the factor shares this allocation (nothing may write to it
+  // afterwards); for T = float an exact promotion into a fresh (charged)
+  // double arena, so the fp64 solve and refinement apply unchanged.
   BlockFactor to_factor() const;
 
   const BlockStructure* bs;

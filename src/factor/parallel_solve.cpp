@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <exception>
 
-#include "factor/block_solve.hpp"
 #include "factor/task_run.hpp"
 #include "linalg/kernels.hpp"
 #include "support/error.hpp"
@@ -103,14 +102,16 @@ void SolveWorkspace::bind_budget(
 }
 
 void SolveWorkspace::stage_rhs(
-    i64 elems, const std::shared_ptr<governor::MemoryBudget>& budget) {
+    idx rows, idx cols, const std::shared_ptr<governor::MemoryBudget>& budget) {
   bind_budget(budget);
-  if (static_cast<i64>(rhs.size()) >= elems) return;
-  const i64 grow_bytes =
-      (elems - static_cast<i64>(rhs.size())) * static_cast<i64>(sizeof(double));
-  SPC_FAULT_POINT(fault::Site::kAlloc, elems, "solve RHS staging allocation");
-  charge.add(grow_bytes, "solve");
-  rhs.resize(static_cast<std::size_t>(elems));
+  const i64 elems = static_cast<i64>(rows) * cols;
+  const i64 held = static_cast<i64>(rhs.capacity());
+  if (elems > held) {
+    SPC_FAULT_POINT(fault::Site::kAlloc, elems, "solve RHS staging allocation");
+    charge.add((elems - held) * static_cast<i64>(sizeof(double)), "solve");
+    rhs.reserve(rows, cols);
+  }
+  rhs.resize_for_overwrite(rows, cols);
 }
 
 void SolveWorkspace::prepare_run(
@@ -199,11 +200,10 @@ i64 SolveWorkspace::scratch_bytes() const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Serial panel path (threads == 1): the sweeps of block_solve.cpp with the
-// cancellation check and fault-injection sites of the executor added per
-// column. Runs the exact same kernel calls in the exact same order as
-// block_lower_solve_panel / block_lower_transpose_solve_panel, so a 1-thread
-// "parallel" solve is bitwise identical to the serial multi-RHS solve.
+// Serial panel path (threads == 1), the library's only serial panel sweep:
+// the factor is walked once per panel, each block op a level-3 solve kernel
+// (trsm_left_* / gemm_nn/tn), with the executor's cancellation check,
+// deadline poll and fault-injection sites per column.
 // ---------------------------------------------------------------------------
 void check_cancel(const spc::atomic<bool>* cancel) {
   // relaxed: cancellation is advisory — a stale read costs one extra column.
@@ -247,13 +247,11 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
     SPC_FAULT_POINT(fault::Site::kKernel, k, "solve forward column");
     const idx first = bs.part.first_col[k];
     const idx w = bs.part.width(k);
-    trsm_left_lower(w, nrhs, f.diag[static_cast<std::size_t>(k)].data(), w,
-                    x + first, n);
+    trsm_left_lower(w, nrhs, f.diag(k), w, x + first, n);
     for (i64 e = bs.blkptr[k]; e < bs.blkptr[k + 1]; ++e) {
-      const DenseMatrix& l = f.offdiag[static_cast<std::size_t>(e)];
-      const idx cnt = l.rows();
+      const idx cnt = bs.blkcnt[e];
       scratch.resize_for_overwrite(cnt, nrhs);
-      gemm_nn_neg_raw(cnt, nrhs, w, l.data(), cnt, x + first, n,
+      gemm_nn_neg_raw(cnt, nrhs, w, f.offdiag(e), cnt, x + first, n,
                       scratch.data(), cnt);
       const idx* rows = bs.entry_rows_begin(e);
       for (idx c = 0; c < nrhs; ++c) {
@@ -274,8 +272,7 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
     const idx first = bs.part.first_col[k];
     const idx w = bs.part.width(k);
     for (i64 e = bs.blkptr[k]; e < bs.blkptr[k + 1]; ++e) {
-      const DenseMatrix& l = f.offdiag[static_cast<std::size_t>(e)];
-      const idx cnt = l.rows();
+      const idx cnt = bs.blkcnt[e];
       const idx* rows = bs.entry_rows_begin(e);
       scratch.resize_for_overwrite(cnt, nrhs);
       for (idx c = 0; c < nrhs; ++c) {
@@ -283,12 +280,11 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
         double* g = scratch.col(c);
         for (idx r = 0; r < cnt; ++r) g[r] = xc[rows[r]];
       }
-      gemm_tn_minus_raw(w, nrhs, cnt, l.data(), cnt, scratch.data(), cnt,
+      gemm_tn_minus_raw(w, nrhs, cnt, f.offdiag(e), cnt, scratch.data(), cnt,
                         x + first, n);
       if (pw) ++pw->updates;
     }
-    trsm_left_ltrans(w, nrhs, f.diag[static_cast<std::size_t>(k)].data(), w,
-                     x + first, n);
+    trsm_left_ltrans(w, nrhs, f.diag(k), w, x + first, n);
     if (pw) ++pw->cols;
   }
   if (pw) pw->backward_s = seconds_since(t1);
@@ -444,13 +440,11 @@ class SolveExecutor {
           if (pw) pw->scatter_s += seconds_since(tg);
         }
         const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
-        trsm_left_lower(w, nrhs_, f_.diag[static_cast<std::size_t>(j)].data(), w,
-                        x_ + first, n_);
+        trsm_left_lower(w, nrhs_, f_.diag(j), w, x_ + first, n_);
         for (i64 e = bs_.blkptr[j]; e < bs_.blkptr[j + 1]; ++e) {
-          const DenseMatrix& l = f_.offdiag[static_cast<std::size_t>(e)];
-          const idx cnt = l.rows();
+          const idx cnt = bs_.blkcnt[e];
           s.update.resize_for_overwrite(cnt, nrhs_);
-          gemm_nn_neg_raw(cnt, nrhs_, w, l.data(), cnt, x_ + first, n_,
+          gemm_nn_neg_raw(cnt, nrhs_, w, f_.offdiag(e), cnt, x_ + first, n_,
                           s.update.data(), cnt);
           const idx* rows = bs_.entry_rows_begin(e);
           for (idx c = 0; c < nrhs_; ++c) {
@@ -488,14 +482,12 @@ class SolveExecutor {
           if (pw) pw->scatter_s += seconds_since(tg);
         }
         const auto t0 = pw ? TaskClock::now() : TaskClock::time_point{};
-        trsm_left_ltrans(w, nrhs_, f_.diag[static_cast<std::size_t>(i)].data(),
-                         w, x_ + first, n_);
+        trsm_left_ltrans(w, nrhs_, f_.diag(i), w, x_ + first, n_);
         for (i64 t = ws_.row_ptr[static_cast<std::size_t>(i)];
              t < ws_.row_ptr[static_cast<std::size_t>(i) + 1]; ++t) {
           const i64 e = ws_.row_entries[static_cast<std::size_t>(t)];
           const idx src = ws_.col_of_entry[static_cast<std::size_t>(e)];
-          const DenseMatrix& l = f_.offdiag[static_cast<std::size_t>(e)];
-          const idx cnt = l.rows();
+          const idx cnt = bs_.blkcnt[e];
           const idx* rows = bs_.entry_rows_begin(e);
           s.update.resize_for_overwrite(cnt, nrhs_);
           for (idx c = 0; c < nrhs_; ++c) {
@@ -504,7 +496,7 @@ class SolveExecutor {
             for (idx r = 0; r < cnt; ++r) g[r] = xc[rows[r]];
           }
           // accum rows of the owning column -= L_e^T * gathered rows.
-          gemm_tn_minus_raw(bs_.part.width(src), nrhs_, cnt, l.data(), cnt,
+          gemm_tn_minus_raw(bs_.part.width(src), nrhs_, cnt, f_.offdiag(e), cnt,
                             s.update.data(), cnt,
                             s.accum.data() + bs_.part.first_col[src], n_);
           if (pw) ++pw->updates;

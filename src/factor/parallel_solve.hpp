@@ -13,9 +13,10 @@
 // n x nrhs scratch panels and the destination column gathers them on entry
 // (aggregated scatter), so no lock ever guards the RHS.
 //
-// threads == 1 runs the serial panel sweeps of factor/block_solve.hpp
-// in-process (same kernels, no queues), so a 1-thread "parallel" solve is
-// bitwise identical to the serial solve and pays no scheduling overhead.
+// threads == 1 runs the serial panel sweep in-process (same kernels, no
+// queues), so a 1-thread solve pays no scheduling overhead. It is the
+// library's only serial panel sweep: multi-RHS callers that want a serial
+// solve call block_solve_multi_parallel with threads = 1.
 #pragma once
 
 #include <memory>
@@ -119,7 +120,7 @@ struct SolveWorkspace {
     std::vector<i64> ready;     // ready-task batch buffer
   };
   std::vector<WorkerScratch> scratch;
-  std::vector<double> rhs;  // permuted-RHS staging for SparseCholesky
+  DenseMatrix rhs;  // permuted-RHS staging panel for SparseCholesky
 
   // Governed accounting, mirroring ParallelWorkspace: scratch growth is
   // charged against the budget handed to prepare_run / stage_rhs before the
@@ -136,9 +137,10 @@ struct SolveWorkspace {
                    const std::shared_ptr<governor::MemoryBudget>& budget =
                        nullptr);
 
-  // Grows the permuted-RHS staging buffer to `elems` doubles under the same
-  // governed-allocation protocol (charge first, alloc-site fault hook).
-  void stage_rhs(i64 elems,
+  // Shapes the permuted-RHS staging panel to rows x cols (contents
+  // unspecified), growing its storage under the same governed-allocation
+  // protocol (charge first, alloc-site fault hook).
+  void stage_rhs(idx rows, idx cols,
                  const std::shared_ptr<governor::MemoryBudget>& budget =
                      nullptr);
 

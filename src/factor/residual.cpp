@@ -17,19 +17,20 @@ std::vector<double> apply_lt(const BlockFactor& f, const std::vector<double>& x)
   for (idx k = 0; k < bs.num_block_cols(); ++k) {
     const idx first = bs.part.first_col[k];
     const idx w = bs.part.width(k);
-    const DenseMatrix& d = f.diag[static_cast<std::size_t>(k)];
+    const double* d = f.diag(k);
     for (idx c = 0; c < w; ++c) {
+      const double* dcol = d + static_cast<std::size_t>(c) * w;
       double s = 0.0;
-      for (idx r = c; r < w; ++r) s += d(r, c) * x[static_cast<std::size_t>(first + r)];
+      for (idx r = c; r < w; ++r) s += dcol[r] * x[static_cast<std::size_t>(first + r)];
       y[static_cast<std::size_t>(first + c)] += s;
     }
     for (i64 e = bs.blkptr[k]; e < bs.blkptr[k + 1]; ++e) {
-      const DenseMatrix& l = f.offdiag[static_cast<std::size_t>(e)];
+      const idx cnt = bs.blkcnt[e];
       const idx* rows = bs.entry_rows_begin(e);
       for (idx c = 0; c < w; ++c) {
         double s = 0.0;
-        const double* lcol = l.col(c);
-        for (idx r = 0; r < l.rows(); ++r) s += lcol[r] * x[static_cast<std::size_t>(rows[r])];
+        const double* lcol = f.offdiag(e) + static_cast<std::size_t>(c) * cnt;
+        for (idx r = 0; r < cnt; ++r) s += lcol[r] * x[static_cast<std::size_t>(rows[r])];
         y[static_cast<std::size_t>(first + c)] += s;
       }
     }
@@ -45,20 +46,21 @@ std::vector<double> apply_l(const BlockFactor& f, const std::vector<double>& x) 
   for (idx k = 0; k < bs.num_block_cols(); ++k) {
     const idx first = bs.part.first_col[k];
     const idx w = bs.part.width(k);
-    const DenseMatrix& d = f.diag[static_cast<std::size_t>(k)];
+    const double* d = f.diag(k);
     for (idx c = 0; c < w; ++c) {
       const double xc = x[static_cast<std::size_t>(first + c)];
       if (xc == 0.0) continue;
-      for (idx r = c; r < w; ++r) y[static_cast<std::size_t>(first + r)] += d(r, c) * xc;
+      const double* dcol = d + static_cast<std::size_t>(c) * w;
+      for (idx r = c; r < w; ++r) y[static_cast<std::size_t>(first + r)] += dcol[r] * xc;
     }
     for (i64 e = bs.blkptr[k]; e < bs.blkptr[k + 1]; ++e) {
-      const DenseMatrix& l = f.offdiag[static_cast<std::size_t>(e)];
+      const idx cnt = bs.blkcnt[e];
       const idx* rows = bs.entry_rows_begin(e);
       for (idx c = 0; c < w; ++c) {
         const double xc = x[static_cast<std::size_t>(first + c)];
         if (xc == 0.0) continue;
-        const double* lcol = l.col(c);
-        for (idx r = 0; r < l.rows(); ++r) y[static_cast<std::size_t>(rows[r])] += lcol[r] * xc;
+        const double* lcol = f.offdiag(e) + static_cast<std::size_t>(c) * cnt;
+        for (idx r = 0; r < cnt; ++r) y[static_cast<std::size_t>(rows[r])] += lcol[r] * xc;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "factor/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -119,11 +120,18 @@ void write_pod(std::ostream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
+// Every rejection of file content is malformed input.
+void require(bool ok, const std::string& what) {
+  if (!ok) {
+    throw Error("load_factorization: " + what, ErrorKind::kMalformedInput);
+  }
+}
+
 template <typename T>
 T read_pod(std::istream& in) {
   T v{};
   in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  SPC_CHECK(static_cast<bool>(in), "load_factorization: truncated stream");
+  require(static_cast<bool>(in), "truncated stream");
   return v;
 }
 
@@ -134,35 +142,44 @@ void write_vec(std::ostream& out, const std::vector<T>& v) {
             static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+// Reads in bounded chunks, growing the vector only as bytes arrive, so a
+// corrupt length fails as truncation instead of sizing an allocation.
 template <typename T>
 std::vector<T> read_vec(std::istream& in) {
+  constexpr i64 kChunk = i64{1} << 16;  // elements per read
   const i64 n = read_pod<i64>(in);
-  SPC_CHECK(n >= 0 && n < (1LL << 40), "load_factorization: corrupt vector length");
-  std::vector<T> v(static_cast<std::size_t>(n));
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(T)));
-  SPC_CHECK(static_cast<bool>(in), "load_factorization: truncated stream");
+  require(n >= 0 && n < (i64{1} << 40), "corrupt vector length");
+  std::vector<T> v;
+  for (i64 done = 0; done < n;) {
+    const i64 step = std::min(kChunk, n - done);
+    v.resize(static_cast<std::size_t>(done + step));
+    in.read(reinterpret_cast<char*>(v.data() + done),
+            static_cast<std::streamsize>(step * static_cast<i64>(sizeof(T))));
+    require(static_cast<bool>(in), "truncated stream");
+    done += step;
+  }
   return v;
 }
 
-void write_matrix(std::ostream& out, const DenseMatrix& m) {
-  write_pod<idx>(out, m.rows());
-  write_pod<idx>(out, m.cols());
-  out.write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(static_cast<std::size_t>(m.rows()) *
-                                         m.cols() * sizeof(double)));
+// One block: its (rows, cols) header, then rows x cols column-major values.
+void write_block(std::ostream& out, const double* m, idx rows, idx cols) {
+  write_pod<idx>(out, rows);
+  write_pod<idx>(out, cols);
+  out.write(reinterpret_cast<const char*>(m),
+            static_cast<std::streamsize>(static_cast<std::size_t>(rows) * cols *
+                                         sizeof(double)));
 }
 
-DenseMatrix read_matrix(std::istream& in) {
-  const idx rows = read_pod<idx>(in);
-  const idx cols = read_pod<idx>(in);
-  SPC_CHECK(rows >= 0 && cols >= 0, "load_factorization: corrupt matrix header");
-  DenseMatrix m(rows, cols);
-  in.read(reinterpret_cast<char*>(m.data()),
+// Reads a block into its arena slot; the header must match the shape the
+// structure gives the block before any of its data is read.
+void read_block(std::istream& in, double* m, idx rows, idx cols) {
+  const idx r = read_pod<idx>(in);
+  const idx c = read_pod<idx>(in);
+  require(r == rows && c == cols, "block shape does not match the structure");
+  in.read(reinterpret_cast<char*>(m),
           static_cast<std::streamsize>(static_cast<std::size_t>(rows) * cols *
                                        sizeof(double)));
-  SPC_CHECK(static_cast<bool>(in), "load_factorization: truncated matrix data");
-  return m;
+  require(static_cast<bool>(in), "truncated block data");
 }
 
 }  // namespace
@@ -197,35 +214,63 @@ void save_factorization(std::ostream& out, const std::vector<idx>& perm,
   write_vec(out, bs.blkrow);
   write_vec(out, bs.blkoff);
   write_vec(out, bs.blkcnt);
-  for (const DenseMatrix& m : f.diag) write_matrix(out, m);
-  for (const DenseMatrix& m : f.offdiag) write_matrix(out, m);
+  const idx nb = bs.num_block_cols();
+  for (idx j = 0; j < nb; ++j) {
+    write_block(out, f.diag(j), bs.part.width(j), bs.part.width(j));
+  }
+  for (idx j = 0; j < nb; ++j) {
+    for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) {
+      write_block(out, f.offdiag(e), bs.blkcnt[e], bs.part.width(j));
+    }
+  }
   SPC_CHECK(static_cast<bool>(out), "save_factorization: write failed");
 }
 
 SavedFactorization load_factorization(std::istream& in) {
-  SPC_CHECK(read_pod<std::uint32_t>(in) == kMagic,
-            "load_factorization: not a factorization file");
-  SPC_CHECK(read_pod<std::uint32_t>(in) == kVersion,
-            "load_factorization: unsupported version");
+  require(read_pod<std::uint32_t>(in) == kMagic, "not a factorization file");
+  require(read_pod<std::uint32_t>(in) == kVersion, "unsupported version");
   SavedFactorization out;
   out.perm = read_vec<idx>(in);
-  out.structure.part.first_col = read_vec<idx>(in);
-  out.structure.part.block_of_col = read_vec<idx>(in);
-  out.structure.part.sn_of_block = read_vec<idx>(in);
-  out.structure.rowptr = read_vec<i64>(in);
-  out.structure.rowidx = read_vec<idx>(in);
-  out.structure.blkptr = read_vec<i64>(in);
-  out.structure.blkrow = read_vec<idx>(in);
-  out.structure.blkoff = read_vec<i64>(in);
-  out.structure.blkcnt = read_vec<idx>(in);
-  out.structure.validate();
-  out.factor.structure = &out.structure;
-  const idx nb = out.structure.num_block_cols();
-  out.factor.diag.reserve(static_cast<std::size_t>(nb));
-  for (idx j = 0; j < nb; ++j) out.factor.diag.push_back(read_matrix(in));
-  const i64 entries = out.structure.num_entries();
-  out.factor.offdiag.reserve(static_cast<std::size_t>(entries));
-  for (i64 e = 0; e < entries; ++e) out.factor.offdiag.push_back(read_matrix(in));
+  BlockStructure& bs = out.structure;
+  bs.part.first_col = read_vec<idx>(in);
+  bs.part.block_of_col = read_vec<idx>(in);
+  bs.part.sn_of_block = read_vec<idx>(in);
+  bs.rowptr = read_vec<i64>(in);
+  bs.rowidx = read_vec<idx>(in);
+  bs.blkptr = read_vec<i64>(in);
+  bs.blkrow = read_vec<idx>(in);
+  bs.blkoff = read_vec<i64>(in);
+  bs.blkcnt = read_vec<idx>(in);
+  try {
+    bs.validate();
+  } catch (const Error& e) {
+    throw Error(std::string("load_factorization: corrupt block structure: ") +
+                    e.what(),
+                ErrorKind::kMalformedInput);
+  }
+  const idx n = bs.part.num_cols();
+  require(static_cast<idx>(out.perm.size()) == n,
+          "permutation length does not match the structure");
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  for (const idx p : out.perm) {
+    require(p >= 0 && p < n && seen[static_cast<std::size_t>(p)] == 0,
+            "ordering is not a permutation");
+    seen[static_cast<std::size_t>(p)] = 1;
+  }
+  // The blocks go straight into one arena laid out like an engine's; the
+  // file stores every diagonal block first, then the entries in order.
+  const BlockArenaLayout layout = compute_block_arena_layout(bs);
+  const FactorArena<double> arena(bs, layout, nullptr);
+  const idx nb = bs.num_block_cols();
+  for (idx j = 0; j < nb; ++j) {
+    read_block(in, arena.diag(j), bs.part.width(j), bs.part.width(j));
+  }
+  for (idx j = 0; j < nb; ++j) {
+    for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) {
+      read_block(in, arena.entry(e), bs.blkcnt[e], bs.part.width(j));
+    }
+  }
+  out.factor = arena.to_factor();
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "support/error.hpp"
 
@@ -10,63 +9,11 @@ namespace spc {
 
 DenseMatrix::DenseMatrix(idx rows, idx cols) { resize(rows, cols); }
 
-DenseMatrix::DenseMatrix(const DenseMatrix& other)
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      data_(other.ptr_, other.ptr_ + other.size()) {
-  ptr_ = data_.data();
-}
-
-DenseMatrix& DenseMatrix::operator=(const DenseMatrix& other) {
-  if (this == &other) return *this;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  data_.assign(other.ptr_, other.ptr_ + other.size());
-  ptr_ = data_.data();
-  return *this;
-}
-
-DenseMatrix::DenseMatrix(DenseMatrix&& other) noexcept
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      ptr_(other.ptr_),
-      data_(std::move(other.data_)) {
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.ptr_ = nullptr;
-  other.data_.clear();
-}
-
-DenseMatrix& DenseMatrix::operator=(DenseMatrix&& other) noexcept {
-  if (this == &other) return *this;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  ptr_ = other.ptr_;
-  data_ = std::move(other.data_);
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.ptr_ = nullptr;
-  other.data_.clear();
-  return *this;
-}
-
-void DenseMatrix::attach(double* storage, idx rows, idx cols) {
-  SPC_CHECK(rows >= 0 && cols >= 0, "DenseMatrix dimensions must be non-negative");
-  SPC_CHECK(storage != nullptr || rows == 0 || cols == 0,
-            "DenseMatrix::attach: null storage for non-empty shape");
-  rows_ = rows;
-  cols_ = cols;
-  ptr_ = storage;
-  data_.clear();
-  data_.shrink_to_fit();
-}
-
 void DenseMatrix::resize(idx rows, idx cols) {
   SPC_CHECK(rows >= 0 && cols >= 0, "DenseMatrix dimensions must be non-negative");
   rows_ = rows;
   cols_ = cols;
   data_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), 0.0);
-  ptr_ = data_.data();
 }
 
 void DenseMatrix::resize_for_overwrite(idx rows, idx cols) {
@@ -74,34 +21,25 @@ void DenseMatrix::resize_for_overwrite(idx rows, idx cols) {
   rows_ = rows;
   cols_ = cols;
   data_.resize(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
-  ptr_ = data_.data();
 }
 
 void DenseMatrix::reserve(idx rows, idx cols) {
   SPC_CHECK(rows >= 0 && cols >= 0, "DenseMatrix dimensions must be non-negative");
-  if (is_view()) {
-    rows_ = 0;
-    cols_ = 0;
-    ptr_ = nullptr;
-  }
   data_.reserve(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
-  ptr_ = data_.data();
 }
 
-void DenseMatrix::set_zero() { std::fill(ptr_, ptr_ + size(), 0.0); }
+void DenseMatrix::set_zero() { std::fill(data_.begin(), data_.end(), 0.0); }
 
 double DenseMatrix::norm() const {
   double s = 0.0;
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) s += ptr_[i] * ptr_[i];
+  for (const double v : data_) s += v * v;
   return std::sqrt(s);
 }
 
 void DenseMatrix::axpy(double alpha, const DenseMatrix& other) {
   SPC_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
             "DenseMatrix::axpy shape mismatch");
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) ptr_[i] += alpha * other.ptr_[i];
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
 }
 
 }  // namespace spc

@@ -1,18 +1,8 @@
-// Column-major dense matrix, the storage unit for factor blocks.
-//
-// Blocks of the sparse factor are stored "row-compressed": only the dense rows
-// of the block are kept (see blocks/block_structure.hpp), so a DenseMatrix here
-// holds rows() = number of dense rows, cols() = block width.
-//
-// Storage comes in two modes:
-//   - owning (default): the matrix manages its own heap buffer, exactly as a
-//     std::vector<double> would.
-//   - view: attach() points the matrix at caller-owned storage (the factor
-//     arena of numeric_factor.hpp pools every block of a factorization into
-//     one allocation). Views never allocate or free; the caller guarantees
-//     the backing buffer outlives the view. Copying a view deep-copies the
-//     contents into a fresh owning matrix, so value semantics are preserved
-//     everywhere downstream (tests, serialization, solves).
+// Column-major dense matrix that owns its storage: scratch panels, RHS
+// panels, the distributed executor's per-processor blocks, and the dense
+// kernels' test operands. The factor itself is not stored in DenseMatrix:
+// a BlockFactor (factor/numeric_factor.hpp) is one arena addressed by
+// block, read through raw pointers.
 #pragma once
 
 #include <vector>
@@ -26,38 +16,22 @@ class DenseMatrix {
   DenseMatrix() = default;
   DenseMatrix(idx rows, idx cols);
 
-  // Deep copy: the destination always owns its storage afterwards, even when
-  // the source is a view into an arena.
-  DenseMatrix(const DenseMatrix& other);
-  DenseMatrix& operator=(const DenseMatrix& other);
-  // Moves keep view pointers valid (the vector's heap buffer is stable across
-  // moves); the source is left empty.
-  DenseMatrix(DenseMatrix&& other) noexcept;
-  DenseMatrix& operator=(DenseMatrix&& other) noexcept;
-
   idx rows() const { return rows_; }
   idx cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
-  // True when the storage is caller-owned (attach()ed), e.g. a factor arena.
-  bool is_view() const { return ptr_ != nullptr && data_.empty(); }
 
-  double& operator()(idx r, idx c) { return ptr_[static_cast<std::size_t>(c) * rows_ + r]; }
+  double& operator()(idx r, idx c) { return data_[static_cast<std::size_t>(c) * rows_ + r]; }
   double operator()(idx r, idx c) const {
-    return ptr_[static_cast<std::size_t>(c) * rows_ + r];
+    return data_[static_cast<std::size_t>(c) * rows_ + r];
   }
 
-  double* data() { return ptr_; }
-  const double* data() const { return ptr_; }
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
   // Pointer to the start of column c.
-  double* col(idx c) { return ptr_ + static_cast<std::size_t>(c) * rows_; }
+  double* col(idx c) { return data_.data() + static_cast<std::size_t>(c) * rows_; }
   const double* col(idx c) const {
-    return ptr_ + static_cast<std::size_t>(c) * rows_;
+    return data_.data() + static_cast<std::size_t>(c) * rows_;
   }
-
-  // Points this matrix at caller-owned storage of `rows * cols` doubles
-  // (column-major). Releases any owned storage. The contents are whatever
-  // the buffer holds; the caller keeps the buffer alive and sized.
-  void attach(double* storage, idx rows, idx cols);
 
   void set_zero();
   void resize(idx rows, idx cols);
@@ -70,8 +44,9 @@ class DenseMatrix {
   // Pre-allocates backing storage for `rows * cols` elements without changing
   // the logical shape. resize() never shrinks capacity, so a buffer reserved
   // to its high-water size is allocation-free from then on (the parallel
-  // solve uses this for per-worker scratch). Detaches a view.
+  // solve uses this for per-worker scratch).
   void reserve(idx rows, idx cols);
+  std::size_t capacity() const { return data_.capacity(); }  // elements
 
   // Frobenius norm.
   double norm() const;
@@ -80,14 +55,9 @@ class DenseMatrix {
   void axpy(double alpha, const DenseMatrix& other);
 
  private:
-  std::size_t size() const {
-    return static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
-  }
-
   idx rows_ = 0;
   idx cols_ = 0;
-  double* ptr_ = nullptr;     // element storage: data_.data() or attached
-  std::vector<double> data_;  // backing store in owning mode; empty for views
+  std::vector<double> data_;
 };
 
 }  // namespace spc

@@ -234,7 +234,6 @@ const char* degrade_rung_name(DegradeRung rung);
 struct RetryPolicy {
   int max_attempts = 6;
   bool allow_degrade = true;
-  double backoff_s = 0.0;  // sleep before retrying a transient fault
 };
 
 }  // namespace spc::governor

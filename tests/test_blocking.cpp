@@ -23,6 +23,7 @@
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
+#include "factor_test_util.hpp"
 #include "gen/grid_gen.hpp"
 #include "gen/lp_gen.hpp"
 #include "support/error.hpp"
@@ -122,21 +123,6 @@ TEST(Blocking, PolicyNames) {
 
 // --- Factorization parity under both policies ------------------------------
 
-double max_factor_diff(const BlockFactor& x, const BlockFactor& y) {
-  double m = 0.0;
-  for (std::size_t j = 0; j < x.diag.size(); ++j) {
-    DenseMatrix d = x.diag[j];
-    d.axpy(-1.0, y.diag[j]);
-    m = std::max(m, d.norm());
-  }
-  for (std::size_t e = 0; e < x.offdiag.size(); ++e) {
-    DenseMatrix d = x.offdiag[e];
-    d.axpy(-1.0, y.offdiag[e]);
-    m = std::max(m, d.norm());
-  }
-  return m;
-}
-
 TEST(Blocking, SerialAndParallelFactorsAgreeUnderBothPolicies) {
   const SymSparse a = make_grid3d(9, 9, 9);
   for (BlockingPolicy policy :
@@ -150,7 +136,7 @@ TEST(Blocking, SerialAndParallelFactorsAgreeUnderBothPolicies) {
     for (int threads : {1, 2, 4, 8}) {
       const BlockFactor par = block_factorize_parallel(
           ap, bs, tg, ParallelFactorOptions{threads});
-      EXPECT_LT(max_factor_diff(serial, par), 1e-8)
+      EXPECT_LT(test_support::compare_factors(serial, par).max_block_norm, 1e-8)
           << blocking_policy_name(policy) << " @ " << threads << " threads";
     }
   }

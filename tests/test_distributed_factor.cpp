@@ -10,6 +10,7 @@
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/distributed_factor.hpp"
 #include "factor/residual.hpp"
+#include "factor_test_util.hpp"
 #include "gen/dense_gen.hpp"
 #include "gen/grid_gen.hpp"
 #include "gen/mesh_gen.hpp"
@@ -52,16 +53,10 @@ TEST_P(DistributedSweep, CorrectFactorAndSimAgreement) {
   // Agreement with the sequential factor up to summation order.
   const BlockFactor seq = block_factorize(
       chol.permuted_matrix(), chol.structure(), chol.task_graph());
-  double max_diff = 0.0;
-  for (std::size_t j = 0; j < seq.diag.size(); ++j) {
-    for (idx c = 0; c < seq.diag[j].cols(); ++c) {
-      for (idx r = c; r < seq.diag[j].rows(); ++r) {
-        max_diff = std::max(
-            max_diff, std::abs(seq.diag[j](r, c) - dist.factor.diag[j](r, c)));
-      }
-    }
-  }
-  EXPECT_LT(max_diff, 1e-8);
+  EXPECT_LT(test_support::compare_factors(seq, dist.factor,
+                                         test_support::FactorEntries::kDiagLower)
+                .max_abs,
+            1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(

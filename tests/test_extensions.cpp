@@ -8,6 +8,7 @@
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
 #include "factor/residual.hpp"
+#include "factor_test_util.hpp"
 #include "gen/dense_gen.hpp"
 #include "gen/grid_gen.hpp"
 #include "gen/mesh_gen.hpp"
@@ -108,7 +109,7 @@ TEST(MultiRhs, MatchesSingleSolve) {
     for (idx r = 0; r < n; ++r) rhs(r, c) = rng.uniform(-1.0, 1.0);
   }
   DenseMatrix multi = rhs;
-  block_solve_multi(chol.factor(), multi);
+  test_support::solve_serial(chol.factor(), multi);
   for (idx c = 0; c < 3; ++c) {
     std::vector<double> b(static_cast<std::size_t>(n));
     for (idx r = 0; r < n; ++r) b[static_cast<std::size_t>(r)] = rhs(r, c);
@@ -127,7 +128,7 @@ TEST(MultiRhs, RowMismatchThrows) {
   SparseCholesky chol = SparseCholesky::analyze(a);
   chol.factorize();
   DenseMatrix wrong(7, 2);
-  EXPECT_THROW(block_solve_multi(chol.factor(), wrong), Error);
+  EXPECT_THROW(test_support::solve_serial(chol.factor(), wrong), Error);
 }
 
 TEST(Refinement, ReducesResidual) {

@@ -17,6 +17,7 @@
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
 #include "factor/serialize.hpp"
+#include "factor_test_util.hpp"
 #include "gen/benchmark_suite.hpp"
 #include "gen/dense_gen.hpp"
 #include "gen/grid_gen.hpp"
@@ -224,12 +225,11 @@ std::uint64_t fnv1a_bytes(const std::string& bytes) {
 // an fp64 arena leaves uninitialized).
 std::uint64_t factor_hash(const BlockFactor& f) {
   std::uint64_t h = kFnvBasis;
-  auto add = [&h](const DenseMatrix& m) {
-    h = fnv1a(h, m.data(),
-              static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(m.cols()));
-  };
-  for (const DenseMatrix& d : f.diag) add(d);
-  for (const DenseMatrix& e : f.offdiag) add(e);
+  test_support::for_each_block(
+      f, [&h](block_id, const double* data, idx rows, idx cols) {
+        h = fnv1a(h, data,
+                  static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
+      });
   return h;
 }
 

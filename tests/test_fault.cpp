@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/block_solve.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
+#include "factor_test_util.hpp"
 #include "gen/mesh_gen.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -22,6 +22,9 @@
 
 namespace spc {
 namespace {
+
+using test_support::compare_factors;
+using test_support::solve_serial;
 
 using fault::FaultPlan;
 using fault::Site;
@@ -280,7 +283,7 @@ TEST_F(FaultTest, SolveWorkspaceAllocFaultLeavesWorkspaceReusable) {
   // Clean retry on the same workspace agrees with the serial sweep.
   fault::clear();
   DenseMatrix serial = b;
-  block_solve_multi(chol.factor(), serial, 2);
+  solve_serial(chol.factor(), serial, 2);
   DenseMatrix retry = b;
   opt.nrhs_block = 2;
   block_solve_multi_parallel(chol.factor(), retry, opt, &ws);
@@ -338,43 +341,6 @@ TEST_F(FaultTest, SparsePlansFireIndependentOfThreadCount) {
   }
 }
 
-bool bitwise_equal(const BlockFactor& x, const BlockFactor& y) {
-  if (x.diag.size() != y.diag.size() || x.offdiag.size() != y.offdiag.size()) {
-    return false;
-  }
-  auto eq = [](const DenseMatrix& a, const DenseMatrix& b) {
-    if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-    for (idx c = 0; c < a.cols(); ++c) {
-      for (idx r = 0; r < a.rows(); ++r) {
-        if (a(r, c) != b(r, c)) return false;
-      }
-    }
-    return true;
-  };
-  for (std::size_t j = 0; j < x.diag.size(); ++j) {
-    if (!eq(x.diag[j], y.diag[j])) return false;
-  }
-  for (std::size_t e = 0; e < x.offdiag.size(); ++e) {
-    if (!eq(x.offdiag[e], y.offdiag[e])) return false;
-  }
-  return true;
-}
-
-double max_block_diff(const BlockFactor& x, const BlockFactor& y) {
-  double m = 0.0;
-  for (std::size_t j = 0; j < x.diag.size(); ++j) {
-    DenseMatrix d = x.diag[j];
-    d.axpy(-1.0, y.diag[j]);
-    m = std::max(m, d.norm());
-  }
-  for (std::size_t e = 0; e < x.offdiag.size(); ++e) {
-    DenseMatrix d = x.offdiag[e];
-    d.axpy(-1.0, y.offdiag[e]);
-    m = std::max(m, d.norm());
-  }
-  return m;
-}
-
 TEST_F(FaultTest, InjectFailThenRetryOnSameWorkspace) {
   if (!fault::compiled_in()) GTEST_SKIP() << "built with SPC_FAULTS=OFF";
   const Analyzed p = analyzed_mesh();
@@ -401,7 +367,7 @@ TEST_F(FaultTest, InjectFailThenRetryOnSameWorkspace) {
   const BlockFactor retry1 =
       block_factorize_parallel(ap, p.chol.structure(), p.chol.task_graph(),
                                one, &ws);
-  EXPECT_TRUE(bitwise_equal(ref, retry1));
+  EXPECT_EQ(compare_factors(ref, retry1).mismatches, 0);
 
   // Same exercise at 8 threads: summation order may differ, so compare to
   // the reference within the executor's usual tolerance.
@@ -416,7 +382,7 @@ TEST_F(FaultTest, InjectFailThenRetryOnSameWorkspace) {
   const BlockFactor retry8 =
       block_factorize_parallel(ap, p.chol.structure(), p.chol.task_graph(),
                                eight, &ws);
-  EXPECT_LT(max_block_diff(ref, retry8), 1e-8);
+  EXPECT_LT(compare_factors(ref, retry8).max_block_norm, 1e-8);
   EXPECT_LT(factor_residual_probe(ap, retry8), 1e-10);
 }
 

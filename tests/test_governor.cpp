@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/block_solve.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
+#include "factor_test_util.hpp"
 #include "gen/mesh_gen.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -32,6 +32,10 @@
 
 namespace spc {
 namespace {
+
+using test_support::compare_factors;
+using test_support::FactorEntries;
+using test_support::solve_serial;
 
 using governor::BudgetCharge;
 using governor::Deadline;
@@ -491,7 +495,7 @@ TEST_F(GovernorTest, SolveDeadlineDrainsAndWorkspaceStaysReusable) {
     // Clean retry on the same workspace must agree with the serial solve.
     DenseMatrix serial = random_rhs(n, 2, 24);
     DenseMatrix retry = serial;
-    block_solve_multi(chol.factor(), serial, 2);
+    solve_serial(chol.factor(), serial, 2);
     SolveOptions clean;
     clean.threads = threads;
     clean.nrhs_block = 2;
@@ -571,15 +575,8 @@ TEST_F(GovernorTest, TimerThreadCancelsFactorizationMidRun) {
     clean.num_threads = 1;
     const BlockFactor retry = block_factorize_parallel(
         ap, chol.structure(), chol.task_graph(), clean, &ws);
-    ASSERT_EQ(retry.diag.size(), ref.diag.size());
-    for (std::size_t j = 0; j < ref.diag.size(); ++j) {
-      for (idx c = 0; c < ref.diag[j].cols(); ++c) {
-        for (idx r = 0; r < ref.diag[j].rows(); ++r) {
-          ASSERT_EQ(retry.diag[j](r, c), ref.diag[j](r, c))
-              << "threads=" << threads << " cancelled=" << cancelled;
-        }
-      }
-    }
+    EXPECT_EQ(compare_factors(retry, ref, FactorEntries::kDiag).mismatches, 0)
+        << "threads=" << threads << " cancelled=" << cancelled;
     EXPECT_LT(factor_residual_probe(ap, retry), 1e-10);
   }
 }
@@ -608,7 +605,7 @@ TEST_F(GovernorTest, TimerThreadCancelsSolveMidSweep) {
     timer.join();
     DenseMatrix serial = random_rhs(n, 4, 42);
     DenseMatrix retry = serial;
-    block_solve_multi(chol.factor(), serial, 4);
+    solve_serial(chol.factor(), serial, 4);
     SolveOptions clean;
     clean.threads = threads;
     clean.nrhs_block = 4;

@@ -55,61 +55,6 @@ TEST(DenseMatrix, AxpyShapeMismatchThrows) {
   EXPECT_THROW(a.axpy(1.0, b), Error);
 }
 
-TEST(DenseMatrix, AttachViewsExternalStorage) {
-  // View mode: the matrix wraps caller-owned storage (the arena path in
-  // factor/numeric_factor.cpp) without copying or freeing it.
-  double buf[6] = {1, 2, 3, 4, 5, 6};
-  DenseMatrix v;
-  v.attach(buf, 3, 2);
-  EXPECT_TRUE(v.is_view());
-  EXPECT_EQ(v.rows(), 3);
-  EXPECT_EQ(v.cols(), 2);
-  EXPECT_EQ(v.data(), buf);
-  EXPECT_DOUBLE_EQ(v(2, 1), 6.0);
-  v(0, 0) = 42.0;
-  EXPECT_DOUBLE_EQ(buf[0], 42.0);  // writes go straight through
-  v.set_zero();
-  for (double x : buf) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
-TEST(DenseMatrix, CopyOfViewDeepCopies) {
-  double buf[4] = {1, 2, 3, 4};
-  DenseMatrix v;
-  v.attach(buf, 2, 2);
-  DenseMatrix c = v;  // value semantics: the copy owns its elements
-  EXPECT_FALSE(c.is_view());
-  EXPECT_NE(c.data(), buf);
-  c(0, 0) = 99.0;
-  EXPECT_DOUBLE_EQ(buf[0], 1.0);
-  DenseMatrix assigned;
-  assigned = v;
-  EXPECT_FALSE(assigned.is_view());
-  EXPECT_DOUBLE_EQ(assigned(1, 1), 4.0);
-}
-
-TEST(DenseMatrix, MoveOfViewTransfersAndNullsSource) {
-  double buf[4] = {1, 2, 3, 4};
-  DenseMatrix v;
-  v.attach(buf, 2, 2);
-  DenseMatrix m = std::move(v);
-  EXPECT_TRUE(m.is_view());
-  EXPECT_EQ(m.data(), buf);
-  EXPECT_EQ(v.rows(), 0);  // moved-from view is detached, not dangling
-  EXPECT_EQ(v.data(), nullptr);
-}
-
-TEST(DenseMatrix, ResizeDetachesView) {
-  double buf[4] = {1, 2, 3, 4};
-  DenseMatrix v;
-  v.attach(buf, 2, 2);
-  v.resize(3, 3);  // becomes owning; external storage untouched
-  EXPECT_FALSE(v.is_view());
-  for (idx c = 0; c < 3; ++c) {
-    for (idx r = 0; r < 3; ++r) EXPECT_DOUBLE_EQ(v(r, c), 0.0);
-  }
-  EXPECT_DOUBLE_EQ(buf[3], 4.0);
-}
-
 TEST(Potrf, FactorsIdentity) {
   DenseMatrix a(4, 4);
   for (idx i = 0; i < 4; ++i) a(i, i) = 1.0;

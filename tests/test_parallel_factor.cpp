@@ -9,6 +9,7 @@
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
+#include "factor_test_util.hpp"
 #include "gen/dense_gen.hpp"
 #include "gen/grid_gen.hpp"
 #include "gen/lp_gen.hpp"
@@ -18,6 +19,9 @@
 
 namespace spc {
 namespace {
+
+using test_support::compare_factors;
+using test_support::FactorEntries;
 
 enum class Problem { kGrid2d, kGrid3d, kDense, kFem };
 
@@ -49,20 +53,7 @@ TEST_P(ParallelFactorSweep, MatchesSequentialFactor) {
   const BlockFactor par = block_factorize_parallel(
       chol.permuted_matrix(), chol.structure(), chol.task_graph(), popt);
   // Same structure, same values up to summation order.
-  ASSERT_EQ(seq.diag.size(), par.diag.size());
-  ASSERT_EQ(seq.offdiag.size(), par.offdiag.size());
-  double max_diff = 0.0;
-  for (std::size_t j = 0; j < seq.diag.size(); ++j) {
-    DenseMatrix d = seq.diag[j];
-    d.axpy(-1.0, par.diag[j]);
-    max_diff = std::max(max_diff, d.norm());
-  }
-  for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
-    DenseMatrix d = seq.offdiag[e];
-    d.axpy(-1.0, par.offdiag[e]);
-    max_diff = std::max(max_diff, d.norm());
-  }
-  EXPECT_LT(max_diff, 1e-8);
+  EXPECT_LT(compare_factors(seq, par).max_block_norm, 1e-8);
   EXPECT_LT(factor_residual_probe(chol.permuted_matrix(), par), 1e-10);
 }
 
@@ -120,37 +111,10 @@ TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
       ParallelFactorOptions popt{threads};
       const BlockFactor par = block_factorize_parallel(
           chol.permuted_matrix(), chol.structure(), chol.task_graph(), popt);
-      ASSERT_EQ(seq.diag.size(), par.diag.size());
-      ASSERT_EQ(seq.offdiag.size(), par.offdiag.size());
-      double max_diff = 0.0;
-      for (std::size_t j = 0; j < seq.diag.size(); ++j) {
-        DenseMatrix d = seq.diag[j];
-        d.axpy(-1.0, par.diag[j]);
-        max_diff = std::max(max_diff, d.norm());
-      }
-      for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
-        DenseMatrix d = seq.offdiag[e];
-        d.axpy(-1.0, par.offdiag[e]);
-        max_diff = std::max(max_diff, d.norm());
-      }
-      EXPECT_LT(max_diff, 1e-8) << "threads=" << threads << " rep=" << rep;
+      EXPECT_LT(compare_factors(seq, par).max_block_norm, 1e-8)
+          << "threads=" << threads << " rep=" << rep;
     }
   }
-}
-
-double max_factor_diff(const BlockFactor& seq, const BlockFactor& par) {
-  double max_diff = 0.0;
-  for (std::size_t j = 0; j < seq.diag.size(); ++j) {
-    DenseMatrix d = seq.diag[j];
-    d.axpy(-1.0, par.diag[j]);
-    max_diff = std::max(max_diff, d.norm());
-  }
-  for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
-    DenseMatrix d = seq.offdiag[e];
-    d.axpy(-1.0, par.offdiag[e]);
-    max_diff = std::max(max_diff, d.norm());
-  }
-  return max_diff;
 }
 
 // Stress the aggregated-scatter and arena paths specifically: a regular 3-D
@@ -183,9 +147,7 @@ TEST(ParallelFactor, StressAggregatedScatterCubeAndLpAllThreadCounts) {
       const BlockFactor par = block_factorize_parallel(
           chol.permuted_matrix(), chol.structure(), chol.task_graph(),
           ParallelFactorOptions{threads}, &ws);
-      ASSERT_EQ(seq.diag.size(), par.diag.size());
-      ASSERT_EQ(seq.offdiag.size(), par.offdiag.size());
-      EXPECT_LT(max_factor_diff(seq, par), 1e-8)
+      EXPECT_LT(compare_factors(seq, par).max_block_norm, 1e-8)
           << c.name << " threads=" << threads;
       EXPECT_LT(factor_residual_probe(chol.permuted_matrix(), par), 1e-10)
           << c.name << " threads=" << threads;
@@ -208,24 +170,7 @@ TEST(ParallelFactor, SingleThreadRunsAreBitwiseDeterministic) {
   };
   const BlockFactor f1 = run();
   const BlockFactor f2 = run();
-  for (std::size_t j = 0; j < f1.diag.size(); ++j) {
-    const DenseMatrix& x = f1.diag[j];
-    const DenseMatrix& y = f2.diag[j];
-    for (idx c = 0; c < x.cols(); ++c) {
-      for (idx r = c; r < x.rows(); ++r) {
-        ASSERT_EQ(x(r, c), y(r, c)) << "diag " << j;
-      }
-    }
-  }
-  for (std::size_t e = 0; e < f1.offdiag.size(); ++e) {
-    const DenseMatrix& x = f1.offdiag[e];
-    const DenseMatrix& y = f2.offdiag[e];
-    for (idx c = 0; c < x.cols(); ++c) {
-      for (idx r = 0; r < x.rows(); ++r) {
-        ASSERT_EQ(x(r, c), y(r, c)) << "offdiag " << e;
-      }
-    }
-  }
+  EXPECT_EQ(compare_factors(f1, f2, FactorEntries::kLower).mismatches, 0);
 }
 
 // The profile's task tallies are exact invariants of the task graph: every
@@ -254,7 +199,7 @@ TEST(ParallelFactor, ProfileCountsMatchTaskGraph) {
 
 // The facade caches its workspace: repeated factorize_parallel() calls on
 // one analyzed object must keep producing a correct factor (and exercise the
-// prepare_run / arena re-attach path rather than a fresh workspace).
+// prepare_run / arena allocation path rather than a fresh workspace).
 TEST(ParallelFactor, FacadeRepeatedFactorizeReusesWorkspace) {
   const SymSparse a = make_grid2d(14, 11);
   SparseCholesky chol = SparseCholesky::analyze(a);
@@ -282,25 +227,6 @@ TEST(ParallelFactor, RepeatedRunsDeterministicStructure) {
 
 // --- Subtree-affinity scheduling -------------------------------------------
 
-void expect_bitwise_equal(const BlockFactor& x, const BlockFactor& y) {
-  ASSERT_EQ(x.diag.size(), y.diag.size());
-  ASSERT_EQ(x.offdiag.size(), y.offdiag.size());
-  for (std::size_t j = 0; j < x.diag.size(); ++j) {
-    for (idx c = 0; c < x.diag[j].cols(); ++c) {
-      for (idx r = c; r < x.diag[j].rows(); ++r) {
-        ASSERT_EQ(x.diag[j](r, c), y.diag[j](r, c)) << "diag " << j;
-      }
-    }
-  }
-  for (std::size_t e = 0; e < x.offdiag.size(); ++e) {
-    for (idx c = 0; c < x.offdiag[e].cols(); ++c) {
-      for (idx r = 0; r < x.offdiag[e].rows(); ++r) {
-        ASSERT_EQ(x.offdiag[e](r, c), y.offdiag[e](r, c)) << "offdiag " << e;
-      }
-    }
-  }
-}
-
 // At 1 thread the affinity partition degenerates to all-shared, so subtree
 // scheduling must be a no-op: the factor agrees BIT FOR BIT with kNone.
 TEST(ParallelFactor, AffinityOneThreadBitwiseMatchesNone) {
@@ -315,7 +241,7 @@ TEST(ParallelFactor, AffinityOneThreadBitwiseMatchesNone) {
   };
   const BlockFactor on = run(ParallelFactorOptions::Affinity::kSubtree);
   const BlockFactor off = run(ParallelFactorOptions::Affinity::kNone);
-  expect_bitwise_equal(on, off);
+  EXPECT_EQ(compare_factors(on, off, FactorEntries::kLower).mismatches, 0);
 }
 
 // Both placement policies must agree with the sequential factor within
@@ -336,18 +262,7 @@ TEST(ParallelFactor, AffinityPoliciesMatchSequentialAcrossThreads) {
         const BlockFactor par =
             block_factorize_parallel(chol.permuted_matrix(), chol.structure(),
                                      chol.task_graph(), popt, &ws);
-        double max_diff = 0.0;
-        for (std::size_t j = 0; j < seq.diag.size(); ++j) {
-          DenseMatrix d = seq.diag[j];
-          d.axpy(-1.0, par.diag[j]);
-          max_diff = std::max(max_diff, d.norm());
-        }
-        for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
-          DenseMatrix d = seq.offdiag[e];
-          d.axpy(-1.0, par.offdiag[e]);
-          max_diff = std::max(max_diff, d.norm());
-        }
-        EXPECT_LT(max_diff, 1e-8)
+        EXPECT_LT(compare_factors(seq, par).max_block_norm, 1e-8)
             << "threads=" << threads << " affinity="
             << (mode == ParallelFactorOptions::Affinity::kSubtree ? "subtree"
                                                                   : "none");

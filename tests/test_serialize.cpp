@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/condest.hpp"
@@ -51,10 +54,61 @@ TEST(Serialize, MovePreservesSelfBinding) {
   EXPECT_EQ(x.size(), 64u);
 }
 
-TEST(Serialize, RejectsGarbage) {
+// Loading `bytes` must fail as malformed input, whatever the corruption.
+void expect_malformed(const std::string& bytes) {
+  std::stringstream in(bytes);
+  try {
+    load_factorization(in);
+    ADD_FAILURE() << "corrupt factor file accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformedInput) << e.what();
+  }
+}
+
+// The saved bytes of a GRID 12x12 factor, with the byte offsets of its
+// first permutation entry and its first block's (rows, cols) header.
+struct SavedGrid {
+  SparseCholesky chol;
+  std::string bytes;
+  std::size_t perm_pos = 0;
+  std::size_t first_block_pos = 0;
+};
+
+SavedGrid saved_grid12() {
+  SavedGrid g{SparseCholesky::analyze(make_grid2d(12, 12)), {}, 0, 0};
+  g.chol.factorize();
   std::stringstream stream;
-  stream << "this is not a factorization";
-  EXPECT_THROW(load_factorization(stream), Error);
+  save_factorization(stream, g.chol.ordering(), g.chol.structure(),
+                     g.chol.factor());
+  g.bytes = stream.str();
+  // Magic and version, then each vector as an i64 length and its elements.
+  const BlockStructure& bs = g.chol.structure();
+  std::size_t pos = 2 * sizeof(std::uint32_t);
+  g.perm_pos = pos + sizeof(i64);
+  auto skip = [&pos](std::size_t count, std::size_t elem) {
+    pos += sizeof(i64) + count * elem;
+  };
+  skip(g.chol.ordering().size(), sizeof(idx));
+  skip(bs.part.first_col.size(), sizeof(idx));
+  skip(bs.part.block_of_col.size(), sizeof(idx));
+  skip(bs.part.sn_of_block.size(), sizeof(idx));
+  skip(bs.rowptr.size(), sizeof(i64));
+  skip(bs.rowidx.size(), sizeof(idx));
+  skip(bs.blkptr.size(), sizeof(i64));
+  skip(bs.blkrow.size(), sizeof(idx));
+  skip(bs.blkoff.size(), sizeof(i64));
+  skip(bs.blkcnt.size(), sizeof(idx));
+  g.first_block_pos = pos;
+  return g;
+}
+
+template <class T>
+void poke(std::string& bytes, std::size_t pos, T value) {
+  std::memcpy(bytes.data() + pos, &value, sizeof value);
+}
+
+TEST(Serialize, RejectsGarbage) {
+  expect_malformed("this is not a factorization");
 }
 
 TEST(Serialize, RejectsTruncated) {
@@ -64,8 +118,73 @@ TEST(Serialize, RejectsTruncated) {
   std::stringstream stream;
   save_factorization(stream, chol.ordering(), chol.structure(), chol.factor());
   const std::string full = stream.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(load_factorization(cut), Error);
+  expect_malformed(full.substr(0, full.size() / 2));
+}
+
+// A block header that disagrees with the structure's shape for the block
+// must fail before the block's data is read (a 1x1 header on a 6x6 block
+// would otherwise leave a solve reading 36 doubles from one).
+TEST(Serialize, RejectsMismatchedBlockShape) {
+  SavedGrid g = saved_grid12();
+  ASSERT_GT(g.chol.structure().part.width(0), 1);
+  std::string bytes = g.bytes;
+  poke<idx>(bytes, g.first_block_pos, 1);
+  poke<idx>(bytes, g.first_block_pos + sizeof(idx), 1);
+  expect_malformed(bytes);
+  bytes = g.bytes;
+  poke<idx>(bytes, g.first_block_pos, g.chol.structure().part.width(0) + 1);
+  expect_malformed(bytes);
+}
+
+// The ordering indexes the right-hand side, so it must be a permutation of
+// [0, n): out-of-range and repeated entries are both rejected.
+TEST(Serialize, RejectsNonPermutation) {
+  SavedGrid g = saved_grid12();
+  std::string bytes = g.bytes;
+  poke<idx>(bytes, g.perm_pos, 268435456);
+  expect_malformed(bytes);
+  bytes = g.bytes;
+  poke<idx>(bytes, g.perm_pos, -1);
+  expect_malformed(bytes);
+  bytes = g.bytes;
+  poke<idx>(bytes, g.perm_pos, g.chol.ordering()[1]);
+  expect_malformed(bytes);
+}
+
+// A vector length far beyond the file's size fails as truncation once the
+// bytes run out; it never sizes an allocation up front.
+TEST(Serialize, RejectsLyingVectorLength) {
+  SavedGrid g = saved_grid12();
+  std::string bytes = g.bytes;
+  poke<i64>(bytes, g.perm_pos - sizeof(i64), i64{1} << 39);
+  expect_malformed(bytes);
+}
+
+// Every single-byte corruption of the header, the structure and the block
+// headers either loads a factor that solves without fault or is rejected as
+// malformed input (run under ASan, this checks the loader's bounds).
+TEST(Serialize, SingleByteCorruptionLoadsOrIsRejected) {
+  const SparseCholesky chol = [] {
+    SparseCholesky c = SparseCholesky::analyze(make_grid2d(4, 4));
+    c.factorize();
+    return c;
+  }();
+  std::stringstream stream;
+  save_factorization(stream, chol.ordering(), chol.structure(), chol.factor());
+  const std::string full = stream.str();
+  for (std::size_t pos = 0; pos < full.size(); ++pos) {
+    std::string bytes = full;
+    bytes[pos] = static_cast<char>(bytes[pos] ^ 0x5a);
+    std::stringstream in(bytes);
+    try {
+      const SavedFactorization loaded = load_factorization(in);
+      const std::vector<double> x = loaded.solve(std::vector<double>(
+          static_cast<std::size_t>(loaded.structure.part.num_cols()), 1.0));
+      EXPECT_EQ(x.size(), 16u) << "byte " << pos;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kMalformedInput) << "byte " << pos << ": " << e.what();
+    }
+  }
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -9,8 +9,7 @@
 //
 //   * 1 thread — the parallel factorization is fully deterministic (one
 //     worker drains the DAG in priority order), so two runs must agree
-//     BITWISE, and the 1-thread parallel solve routes through the serial
-//     panel sweeps, so it must agree BITWISE with block_solve.
+//     BITWISE.
 //   * 8 threads — update order into a destination block is scheduling-
 //     dependent, so agreement with the sequential factor is up to summation
 //     order (tight tolerance), exactly as before the shim retrofit.
@@ -31,6 +30,7 @@
 #include "factor/parallel_factor.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
+#include "factor_test_util.hpp"
 #include "gen/benchmark_suite.hpp"
 #include "support/sync.hpp"
 #include "support/types.hpp"
@@ -53,50 +53,14 @@ static_assert(sizeof(Mutex) == sizeof(std::mutex));
 static_assert(std::is_same_v<spc::atomic<int>, model::Atomic<int>>);
 #endif
 
+using test_support::compare_factors;
+
 struct Cube {
   SparseCholesky chol;
   explicit Cube()
       : chol(SparseCholesky::analyze(
             make_bench_matrix("CUBE30", SuiteScale::kSmall).matrix)) {}
 };
-
-// Bitwise max |a - b| == 0 check over two factors' blocks.
-bool factors_bitwise_equal(const BlockFactor& a, const BlockFactor& b) {
-  if (a.diag.size() != b.diag.size() || a.offdiag.size() != b.offdiag.size()) {
-    return false;
-  }
-  auto block_eq = [](const DenseMatrix& x, const DenseMatrix& y) {
-    if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
-    for (idx j = 0; j < x.cols(); ++j) {
-      for (idx i = 0; i < x.rows(); ++i) {
-        if (x(i, j) != y(i, j)) return false;
-      }
-    }
-    return true;
-  };
-  for (std::size_t j = 0; j < a.diag.size(); ++j) {
-    if (!block_eq(a.diag[j], b.diag[j])) return false;
-  }
-  for (std::size_t e = 0; e < a.offdiag.size(); ++e) {
-    if (!block_eq(a.offdiag[e], b.offdiag[e])) return false;
-  }
-  return true;
-}
-
-double factor_max_diff(const BlockFactor& a, const BlockFactor& b) {
-  double max_diff = 0.0;
-  for (std::size_t j = 0; j < a.diag.size(); ++j) {
-    DenseMatrix d = a.diag[j];
-    d.axpy(-1.0, b.diag[j]);
-    max_diff = std::max(max_diff, d.norm());
-  }
-  for (std::size_t e = 0; e < a.offdiag.size(); ++e) {
-    DenseMatrix d = a.offdiag[e];
-    d.axpy(-1.0, b.offdiag[e]);
-    max_diff = std::max(max_diff, d.norm());
-  }
-  return max_diff;
-}
 
 TEST(ShimParity, SingleThreadFactorIsBitwiseDeterministic) {
   Cube c;
@@ -106,13 +70,13 @@ TEST(ShimParity, SingleThreadFactorIsBitwiseDeterministic) {
       c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph(), opt);
   const BlockFactor run2 = block_factorize_parallel(
       c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph(), opt);
-  EXPECT_TRUE(factors_bitwise_equal(run1, run2))
+  EXPECT_EQ(compare_factors(run1, run2).mismatches, 0)
       << "1-thread factorization must be bitwise reproducible";
   // And numerically the same factor as the sequential engine (summation
   // order may differ, so tolerance — identical to the pre-shim contract).
   const BlockFactor seq =
       block_factorize(c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph());
-  EXPECT_LT(factor_max_diff(seq, run1), 1e-8);
+  EXPECT_LT(compare_factors(seq, run1).max_block_norm, 1e-8);
 }
 
 TEST(ShimParity, EightThreadFactorMatchesSequential) {
@@ -123,33 +87,8 @@ TEST(ShimParity, EightThreadFactorMatchesSequential) {
       c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph(), opt);
   const BlockFactor seq =
       block_factorize(c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph());
-  EXPECT_LT(factor_max_diff(seq, par), 1e-8);
+  EXPECT_LT(compare_factors(seq, par).max_block_norm, 1e-8);
   EXPECT_LT(factor_residual_probe(c.chol.permuted_matrix(), par), 1e-10);
-}
-
-TEST(ShimParity, SingleThreadSolveIsBitwiseSerial) {
-  Cube c;
-  const BlockFactor f =
-      block_factorize(c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph());
-  const idx n = c.chol.permuted_matrix().num_rows();
-  std::vector<double> b(static_cast<std::size_t>(n));
-  for (idx i = 0; i < n; ++i) {
-    b[static_cast<std::size_t>(i)] = std::sin(0.7 * static_cast<double>(i + 1));
-  }
-  // threads == 1 routes through exactly the serial panel sweeps of
-  // block_solve.hpp — the results must agree BITWISE, not just closely.
-  std::vector<double> serial = b;
-  DenseMatrix scratch;
-  block_lower_solve_panel(f, serial.data(), n, 1, scratch);
-  block_lower_transpose_solve_panel(f, serial.data(), n, 1, scratch);
-  std::vector<double> x = b;
-  SolveOptions sopt;
-  sopt.threads = 1;
-  block_solve_panel(f, x.data(), 1, sopt);
-  ASSERT_EQ(serial.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(serial[i], x[i]) << "component " << i;
-  }
 }
 
 TEST(ShimParity, EightThreadSolveMatchesSerial) {

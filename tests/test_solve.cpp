@@ -18,6 +18,7 @@
 #include "factor/condest.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
+#include "factor_test_util.hpp"
 #include "gen/grid_gen.hpp"
 #include "gen/lp_gen.hpp"
 #include "gen/mesh_gen.hpp"
@@ -27,6 +28,8 @@
 
 namespace spc {
 namespace {
+
+using test_support::solve_serial;
 
 SparseCholesky factorized(const SymSparse& a) {
   SparseCholesky chol = SparseCholesky::analyze(a);
@@ -77,7 +80,7 @@ TEST(SolvePanel, PanelsMatchScalarColumnSweeps) {
     const DenseMatrix b = random_rhs(n, nrhs, 100 + static_cast<std::uint64_t>(nrhs));
     const DenseMatrix want = solve_columns_scalar(chol.factor(), b);
     DenseMatrix got = b;
-    block_solve_multi(chol.factor(), got);
+    solve_serial(chol.factor(), got);
     expect_close(got, want, 1e-11, "panel vs scalar");
   }
 }
@@ -86,34 +89,15 @@ TEST(SolvePanel, PanelWidthDoesNotChangeColumns) {
   const SparseCholesky chol = factorized(make_grid2d(20, 20));
   const DenseMatrix b = random_rhs(chol.num_rows(), 10, 4);
   DenseMatrix wide = b;
-  block_solve_multi(chol.factor(), wide, /*nrhs_block=*/64);
+  solve_serial(chol.factor(), wide, /*nrhs_block=*/64);
   for (idx nb : {1, 3, 7}) {
     DenseMatrix narrow = b;
-    block_solve_multi(chol.factor(), narrow, nb);
+    solve_serial(chol.factor(), narrow, nb);
     expect_close(narrow, wide, 1e-12, "panel width");
   }
 }
 
 // --- Parallel executor parity ----------------------------------------------
-
-TEST(SolveParallel, OneThreadIsBitwiseSerial) {
-  const SparseCholesky chol = factorized(make_grid2d(22, 23));
-  const idx n = chol.num_rows();
-  for (idx nrhs : {1, 5}) {
-    DenseMatrix serial = random_rhs(n, nrhs, 7);
-    DenseMatrix parallel = serial;
-    block_solve_multi(chol.factor(), serial, nrhs);
-    SolveOptions opt;
-    opt.threads = 1;
-    opt.nrhs_block = nrhs;
-    block_solve_multi_parallel(chol.factor(), parallel, opt);
-    for (idx c = 0; c < nrhs; ++c) {
-      for (idx r = 0; r < n; ++r) {
-        EXPECT_EQ(parallel(r, c), serial(r, c)) << "(" << r << "," << c << ")";
-      }
-    }
-  }
-}
 
 TEST(SolveParallel, MatchesSerialAcrossThreadCounts) {
   const SparseCholesky chol = factorized(make_grid2d(30, 30));
@@ -122,7 +106,7 @@ TEST(SolveParallel, MatchesSerialAcrossThreadCounts) {
   for (idx nrhs : {1, 6}) {
     DenseMatrix serial = random_rhs(n, nrhs, 11);
     DenseMatrix b = serial;
-    block_solve_multi(chol.factor(), serial, nrhs);
+    solve_serial(chol.factor(), serial, nrhs);
     for (int threads : {2, 3, 4, 8}) {
       DenseMatrix x = b;
       SolveOptions opt;
@@ -156,7 +140,7 @@ TEST(SolveParallel, RandomizedDagStress) {
       DenseMatrix serial =
           random_rhs(n, nrhs, 1000 * mi + static_cast<std::uint64_t>(rep));
       DenseMatrix b = serial;
-      block_solve_multi(chol.factor(), serial, nrhs);
+      solve_serial(chol.factor(), serial, nrhs);
       SolveOptions opt;
       opt.threads = 4;
       opt.nrhs_block = nrhs;
@@ -231,7 +215,7 @@ TEST(SolveTeardown, CancellationDrainsCleanly) {
   // The workspace must be reusable after a cancelled run.
   DenseMatrix serial = random_rhs(n, 3, 6);
   DenseMatrix b = serial;
-  block_solve_multi(chol.factor(), serial, 3);
+  solve_serial(chol.factor(), serial, 3);
   SolveOptions opt;
   opt.threads = 4;
   opt.nrhs_block = 3;
@@ -270,7 +254,7 @@ TEST_F(SolveFaultTest, KernelFaultSurfacesAndWorkspaceRecovers) {
     fault::clear();
     DenseMatrix serial = random_rhs(n, 2, 9);
     DenseMatrix retry = serial;
-    block_solve_multi(chol.factor(), serial, 2);
+    solve_serial(chol.factor(), serial, 2);
     opt.nrhs_block = 2;
     block_solve_multi_parallel(chol.factor(), retry, opt, &ws);
     expect_close(retry, serial, 1e-10, "post-fault retry");
