@@ -161,6 +161,17 @@ std::vector<T> read_vec(std::istream& in) {
   return v;
 }
 
+// Bytes from the read position to the end of a seekable stream; -1 when
+// the stream cannot seek.
+i64 bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return -1;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  return static_cast<i64>(end - here);
+}
+
 // One block: its (rows, cols) header, then rows x cols column-major values.
 void write_block(std::ostream& out, const double* m, idx rows, idx cols) {
   write_pod<idx>(out, rows);
@@ -257,11 +268,25 @@ SavedFactorization load_factorization(std::istream& in) {
             "ordering is not a permutation");
     seen[static_cast<std::size_t>(p)] = 1;
   }
+  // On a seekable stream every block the structure claims must be present
+  // before the arena is allocated, so a small file cannot demand a large
+  // allocation.
+  const idx nb = bs.num_block_cols();
+  i64 elems = 0;
+  for (idx j = 0; j < nb; ++j) {
+    const i64 w = bs.part.width(j);
+    elems += w * w;
+    for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) elems += w * bs.blkcnt[e];
+  }
+  const i64 headers = (nb + bs.num_entries()) * 2 * static_cast<i64>(sizeof(idx));
+  const i64 left = bytes_left(in);
+  require(left < 0 || (left >= headers &&
+                       (left - headers) / static_cast<i64>(sizeof(double)) >= elems),
+          "truncated block data");
   // The blocks go straight into one arena laid out like an engine's; the
   // file stores every diagonal block first, then the entries in order.
   const BlockArenaLayout layout = compute_block_arena_layout(bs);
   const FactorArena<double> arena(bs, layout, nullptr);
-  const idx nb = bs.num_block_cols();
   for (idx j = 0; j < nb; ++j) {
     read_block(in, arena.diag(j), bs.part.width(j), bs.part.width(j));
   }

@@ -160,6 +160,38 @@ TEST(Serialize, RejectsLyingVectorLength) {
   expect_malformed(bytes);
 }
 
+// A structure that claims one 100000 x 100000 diagonal block in an 800 KB
+// file is rejected as truncated before its 80 GB arena is allocated.
+TEST(Serialize, RejectsArenaLargerThanFile) {
+  const idx n = 100000;
+  std::stringstream file;
+  auto put = [&file](const auto& v) {
+    file.write(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  auto put_vec = [&file, &put](const auto& v) {
+    put(static_cast<i64>(v.size()));
+    file.write(reinterpret_cast<const char*>(v.data()),
+               static_cast<std::streamsize>(v.size() * sizeof(v[0])));
+  };
+  put(std::uint32_t{0x53504346});  // "SPCF"
+  put(std::uint32_t{1});
+  std::vector<idx> perm(static_cast<std::size_t>(n));
+  for (idx i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
+  put_vec(perm);                                              // perm
+  put_vec(std::vector<idx>{0, n});                            // first_col
+  put_vec(std::vector<idx>(static_cast<std::size_t>(n), 0));  // block_of_col
+  put_vec(std::vector<idx>{0});                               // sn_of_block
+  put_vec(std::vector<i64>{0, 0});                            // rowptr
+  put_vec(std::vector<idx>{});                                // rowidx
+  put_vec(std::vector<i64>{0, 0});                            // blkptr
+  put_vec(std::vector<idx>{});                                // blkrow
+  put_vec(std::vector<i64>{});                                // blkoff
+  put_vec(std::vector<idx>{});                                // blkcnt
+  put(n);
+  put(n);
+  expect_malformed(file.str());
+}
+
 // Every single-byte corruption of the header, the structure and the block
 // headers either loads a factor that solves without fault or is rejected as
 // malformed input (run under ASan, this checks the loader's bounds).
